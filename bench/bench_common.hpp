@@ -2,13 +2,16 @@
 /// Shared boilerplate for the figure/table bench binaries: CLI handling,
 /// paper-reference banner, and table emission (pretty or CSV).
 
+#include <algorithm>
 #include <functional>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "core/experiment_runner.hpp"
+#include "serve/server.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
 
@@ -56,6 +59,24 @@ inline std::vector<core::RunReport> run_sweep(
     const core::SystemConfig& config, const core::ExperimentOptions& options,
     const std::vector<core::SweepJob>& jobs) {
   return core::run_sweep(config, options, jobs);
+}
+
+/// Mean isolated service time (us) of the mix, from a one-query-at-a-time
+/// probe serve at negligible load (FIFO, unbounded queue, at most 24
+/// queries); 1e6 / mean is the one-stack capacity in qps.
+inline double probe_capacity_qps(serve::QueryServer& server,
+                                 const graph::CsrGraph& g,
+                                 serve::ServeRequest request) {
+  request.workload.offered_qps = 0.001;
+  request.workload.num_queries =
+      std::min<std::uint32_t>(request.workload.num_queries, 24);
+  request.config.policy = serve::SchedulingPolicy::kFifo;
+  request.config.max_waiting = 0;
+  const serve::ServeReport probe = server.serve(g, request);
+  if (probe.service_us.mean <= 0.0) {
+    throw std::runtime_error("probe serve produced no service time");
+  }
+  return 1.0e6 / probe.service_us.mean;
 }
 
 /// Standard bench body: banner, run, emit.

@@ -25,14 +25,13 @@
 /// QueryServer::serve (record-level bit-identity — the acceptance gate),
 /// if the migration moves nothing or unbalances the ledger, or if the
 /// elastic controller never scales under a saturating burst.
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "graph/datasets.hpp"
 #include "serve/fleet.hpp"
 #include "serve/server.hpp"
@@ -65,23 +64,6 @@ serve::WorkloadSpec make_spec(std::uint64_t seed, std::uint32_t queries,
   scan.slo = util::ps_from_us(4.0 * slo_us);
   spec.mix = {bfs, cc, scan};
   return spec;
-}
-
-/// Mean isolated service time of the mix sets the one-stack capacity.
-double probe_capacity_qps(serve::QueryServer& server,
-                          const graph::CsrGraph& g,
-                          const core::RunRequest& base,
-                          serve::WorkloadSpec workload) {
-  workload.offered_qps = 0.001;
-  workload.num_queries = std::min<std::uint32_t>(workload.num_queries, 24);
-  serve::ServeRequest req;
-  req.base = base;
-  req.workload = std::move(workload);
-  const serve::ServeReport probe = server.serve(g, req);
-  if (probe.service_us.mean <= 0.0) {
-    throw std::runtime_error("probe serve produced no service time");
-  }
-  return 1.0e6 / probe.service_us.mean;
 }
 
 bool reports_bit_identical(const serve::ServeReport& a,
@@ -182,7 +164,8 @@ int run_fleet(int argc, char** argv) {
   serve::FleetServer fleet(core::table3_system(), jobs);
   serve::QueryServer probe_server(core::table3_system(), jobs);
   const double capacity_qps =
-      probe_capacity_qps(probe_server, g, base.base, base.workload);
+      bench::probe_capacity_qps(probe_server, g,
+                                {base.base, base.workload, {}});
   std::cout << "dataset: " << cli.get("dataset") << ", scale: 2^" << scale
             << ", one-stack capacity: " << util::fmt(capacity_qps, 1)
             << " qps\n\n";

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "graph/datasets.hpp"
 #include "obs/telemetry.hpp"
 #include "serve/server.hpp"
@@ -67,23 +68,6 @@ serve::WorkloadSpec make_spec(std::uint64_t seed, std::uint32_t queries,
   return spec;
 }
 
-/// Mean isolated service time (us) of the mix, from a one-query-at-a-time
-/// probe serve at negligible load; 1e6 / mean is the capacity in qps.
-double probe_capacity_qps(serve::QueryServer& server,
-                          const graph::CsrGraph& g,
-                          serve::ServeRequest request) {
-  request.workload.offered_qps = 0.001;
-  request.workload.num_queries = std::min<std::uint32_t>(
-      request.workload.num_queries, 24);
-  request.config.policy = serve::SchedulingPolicy::kFifo;
-  request.config.max_waiting = 0;
-  const serve::ServeReport probe = server.serve(g, request);
-  if (probe.service_us.mean <= 0.0) {
-    throw std::runtime_error("probe serve produced no service time");
-  }
-  return 1.0e6 / probe.service_us.mean;
-}
-
 /// Sustained-load soak with the stack thermal model on. The thermal budget
 /// is calibrated from a cold (model-off) run of the same workload so the
 /// soak throttles at any graph scale: the heat rate is the cold run's
@@ -95,7 +79,8 @@ int run_soak(serve::ServeRequest request, const graph::CsrGraph& g,
   request.config.policy = serve::SchedulingPolicy::kFifo;
 
   serve::QueryServer cold_server(core::table3_system(), jobs);
-  const double capacity_qps = probe_capacity_qps(cold_server, g, request);
+  const double capacity_qps =
+      bench::probe_capacity_qps(cold_server, g, request);
   request.workload.offered_qps = capacity_qps * load_factor;
   const serve::ServeReport cold = cold_server.serve(g, request);
   if (cold.completed == 0 || cold.makespan_sec <= 0.0) {
@@ -312,7 +297,7 @@ int run_serve_mix(int argc, char** argv) {
     return rc != 0 ? rc : save_rc;
   }
 
-  const double capacity_qps = probe_capacity_qps(server, g, base);
+  const double capacity_qps = bench::probe_capacity_qps(server, g, base);
 
   if (!cli.get_bool("csv")) {
     std::cout << "=== Serving: offered-load sweep over one shared stack "

@@ -14,8 +14,6 @@ CxlDevice::CxlDevice(Simulator& sim, const CxlDeviceParams& params,
     throw std::invalid_argument("CxlDevice: bad parameters");
   }
   validate(params.thermal);
-  fault::validate(params.io_faults);
-  io_faulty_ = params.io_faults.enabled;
   listener_ = sim_.add_listener(this, &CxlDevice::on_event);
   caps_.name = std::move(name);
   caps_.min_alignment = 1;
@@ -34,19 +32,9 @@ void CxlDevice::read(std::uint64_t addr, std::uint32_t bytes, ReadyFn ready) {
       parents_.acquire(ParentRead{flit_count, ready});
 
   // Socket hop (if remote) + port ingress, then each flit contends for a
-  // device tag. Transient errors replay the port crossing after a
-  // linear-backoff delay (latency only — the payload is untouched).
-  SimTime entry = params_.socket_hop + params_.port_ingress;
-  if (io_faulty_) {
-    std::uint32_t errors = 0;
-    entry += fault::io_fault_penalty(params_.io_faults, io_requests_++,
-                                     &errors);
-    if (errors > 0) {
-      io_errors_ += errors;
-      ++io_error_requests_;
-    }
-  }
-  sim_.schedule_after(entry, listener_, kIngress, parent, flit_count);
+  // device tag.
+  sim_.schedule_after(params_.socket_hop + params_.port_ingress, listener_,
+                      kIngress, parent, flit_count);
 }
 
 void CxlDevice::admit_flit(std::uint32_t parent_slot) {

@@ -21,10 +21,8 @@ StorageDrive::StorageDrive(Simulator& sim, PcieLink& link,
   validate(params.thermal);
   validate(params.endurance);
   validate(params.qd_curve);
-  fault::validate(params.io_faults);
   state_dependent_ = params.thermal.enabled || params.endurance.enabled ||
                      params.qd_curve.enabled;
-  io_faulty_ = params.io_faults.enabled;
   listener_ = sim_.add_listener(this, &StorageDrive::on_event);
 }
 
@@ -143,16 +141,8 @@ void StorageDrive::start(std::uint32_t slot) {
       std::max(controller_busy_until_,
                submit_time + params_.submission_overhead);
   controller_busy_until_ = service_start + interval;
-  SimTime media_ready = controller_busy_until_ + params_.access_latency;
-  if (io_faulty_) {
-    std::uint32_t errors = 0;
-    media_ready +=
-        fault::io_fault_penalty(params_.io_faults, io_requests_++, &errors);
-    if (errors > 0) {
-      stats_.io_errors += errors;
-      ++stats_.io_error_requests;
-    }
-  }
+  const SimTime media_ready =
+      controller_busy_until_ + params_.access_latency;
 
   // Per-drive link hop, then the shared GPU link delivers the data.
   const SimTime drive_link_start =
@@ -205,15 +195,6 @@ void StorageDrive::on_event(void* self, std::uint16_t opcode, std::uint32_t a,
             drive->state_trace_.on_wear(drive->sim_.now(),
                                         drive->wear_.wear_units());
           }
-        }
-      }
-      if (drive->io_faulty_) {
-        std::uint32_t errors = 0;
-        program += fault::io_fault_penalty(drive->params_.io_faults,
-                                           drive->io_requests_++, &errors);
-        if (errors > 0) {
-          drive->stats_.io_errors += errors;
-          ++drive->stats_.io_error_requests;
         }
       }
       const SimTime service_start =
@@ -328,8 +309,6 @@ StorageDriveStats StorageArray::aggregate_stats() const {
     out.throttled_requests += d->stats().throttled_requests;
     out.peak_heat = std::max(out.peak_heat, d->stats().peak_heat);
     out.wear_units += d->stats().wear_units;
-    out.io_errors += d->stats().io_errors;
-    out.io_error_requests += d->stats().io_error_requests;
   }
   return out;
 }

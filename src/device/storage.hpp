@@ -19,7 +19,6 @@
 
 #include "device/pcie.hpp"
 #include "device/state_model.hpp"
-#include "fault/fault.hpp"
 #include "obs/telemetry.hpp"
 #include "util/slot_pool.hpp"
 #include "util/units.hpp"
@@ -57,11 +56,6 @@ struct StorageDriveParams {
   ThermalParams thermal;
   EnduranceParams endurance;
   QdCurveParams qd_curve;
-
-  /// Deterministic transient I/O errors (default OFF). Each request draws
-  /// per-retry from a seeded stream; an error re-arms the command after a
-  /// linear-backoff delay. Bytes are unaffected — errors only add latency.
-  fault::IoFaultParams io_faults;
 };
 
 struct StorageDriveStats {
@@ -74,9 +68,6 @@ struct StorageDriveStats {
   std::uint64_t throttled_requests = 0;
   double peak_heat = 0.0;
   double wear_units = 0.0;
-  /// Fault-injection observations (zero while io_faults is off).
-  std::uint64_t io_errors = 0;          ///< individual retried attempts
-  std::uint64_t io_error_requests = 0;  ///< requests that hit >= 1 error
 };
 
 /// A single drive. Data is delivered through the shared GPU link.
@@ -148,10 +139,6 @@ class StorageDrive {
   bool state_dependent_ = false;
   ThermalState thermal_;
   WearState wear_;
-  /// True iff io_faults is enabled; the penalty draw is skipped entirely
-  /// otherwise (no RNG consumption on the default path).
-  bool io_faulty_ = false;
-  std::uint64_t io_requests_ = 0;  ///< per-drive fault stream cursor
   obs::StateModelTrace state_trace_;
 };
 

@@ -85,6 +85,8 @@ struct FleetSim {
   std::vector<std::size_t> orphans;
 
   util::Xoshiro256 router_rng;
+  /// routable_set()'s scratch buffer.
+  std::vector<std::uint32_t> candidates;
   /// Per-tenant admission state (indexed by class; 0 limit = unbounded).
   std::vector<std::uint32_t> quota_limit;
   std::vector<std::uint32_t> in_flight;
@@ -168,21 +170,15 @@ struct FleetSim {
     meta.push_back(ReplicaMeta{shared.sim.now(), false, false, 0});
     io_until.push_back(0);
     io_rate.push_back(0.0);
-    if (fleet_telemetry) attach_replica_telemetry(r);
+    if (fleet_telemetry) r.attach_telemetry();
     return r;
-  }
-
-  void attach_replica_telemetry(ReplicaSim& r) {
-    const std::string k = std::to_string(r.index);
-    r.attach_telemetry("replica" + k, "serve/replica" + k + "/quantum_bytes",
-                       "replica" + k + "-heat", "serve/replica" + k + "/depth");
   }
 
   void attach_telemetry(obs::Telemetry* sink) {
     shared.attach_telemetry(sink);
     if (shared.telemetry == nullptr) return;
     fleet_telemetry = true;
-    for (ReplicaSim& r : replicas) attach_replica_telemetry(r);
+    for (ReplicaSim& r : replicas) r.attach_telemetry();
     if (shared.telemetry->tracing()) {
       fleet_tracing = true;
       obs::SpanTracer& tr = shared.telemetry->tracer();
@@ -202,20 +198,23 @@ struct FleetSim {
   bool routable(std::uint32_t k) const {
     return !meta[k].draining && !meta[k].retired && !replicas[k].dead;
   }
-  std::vector<std::uint32_t> routable_set() const {
-    std::vector<std::uint32_t> out;
+  /// The replicas a query may be placed on right now, in index order,
+  /// filled into a reused buffer so routing allocates nothing per
+  /// arrival. Valid until the next call.
+  const std::vector<std::uint32_t>& routable_set() {
+    candidates.clear();
     for (std::uint32_t k = 0; k < replicas.size(); ++k) {
-      if (routable(k)) out.push_back(k);
+      if (routable(k)) candidates.push_back(k);
     }
-    if (out.empty()) {
+    if (candidates.empty()) {
       // Every replica draining or retired (transiently possible if a
       // migration target was later drained): fall back to the live set.
       for (std::uint32_t k = 0; k < replicas.size(); ++k) {
-        if (!meta[k].retired && !replicas[k].dead) out.push_back(k);
+        if (!meta[k].retired && !replicas[k].dead) candidates.push_back(k);
       }
     }
-    if (out.empty()) out.push_back(0);
-    return out;
+    if (candidates.empty()) candidates.push_back(0);
+    return candidates;
   }
   /// Any replica a query could legally land on right now? (The {0}
   /// fallback above exists for the no-fault invariant that someone is
@@ -246,12 +245,14 @@ struct FleetSim {
 
   std::uint32_t route(std::size_t i) {
     const QueryRecord& r = shared.records[i];
-    const auto pinned = route_override.find(r.class_index);
-    if (pinned != route_override.end() && !meta[pinned->second].retired &&
-        !replicas[pinned->second].dead) {
-      return pinned->second;
+    if (!route_override.empty()) {
+      const auto pinned = route_override.find(r.class_index);
+      if (pinned != route_override.end() && !meta[pinned->second].retired &&
+          !replicas[pinned->second].dead) {
+        return pinned->second;
+      }
     }
-    const std::vector<std::uint32_t> set = routable_set();
+    const std::vector<std::uint32_t>& set = routable_set();
     switch (fleet.router) {
       case RouterKind::kRandom:
         return set[router_rng.next_below(set.size())];
@@ -1090,10 +1091,18 @@ FleetServer::FleetServer(core::SystemConfig config, unsigned jobs,
 
 FleetReport FleetServer::serve(const graph::CsrGraph& graph,
                                const FleetRequest& request) {
-  const WorkloadSpec& spec = request.workload;
-  const std::size_t num_classes = resolve_mix(spec).size();
-  request.fleet.validate(num_classes);
+  request.fleet.validate(resolve_mix(request.workload).size());
+  return simulate_fleet(
+      profiler_, request,
+      profiler_.profile_workload(graph, request.base, request.workload),
+      telemetry_);
+}
 
+FleetReport simulate_fleet(const QueryServer& profiler,
+                           const FleetRequest& request,
+                           ProfiledWorkload workload,
+                           obs::Telemetry* telemetry) {
+  const WorkloadSpec& spec = request.workload;
   FleetReport report;
   report.router = to_string(request.fleet.router);
   report.replicas = request.fleet.replicas;
@@ -1101,9 +1110,6 @@ FleetReport FleetServer::serve(const graph::CsrGraph& graph,
   ServeReport& serve = report.serve;
   serve.policy = to_string(request.fleet.serve.policy);
   serve.process = to_string(spec.process);
-
-  ProfiledWorkload workload =
-      profiler_.profile_workload(graph, request.base, spec);
   serve.offered = static_cast<std::uint32_t>(workload.queries.size());
   if (workload.queries.empty()) return report;
   serve.backend = workload.profiles.front().report.backend;
@@ -1119,19 +1125,19 @@ FleetReport FleetServer::serve(const graph::CsrGraph& graph,
   }
 
   const device::ThermalParams& thermal =
-      profiler_.stack_thermal(request.base.backend);
+      profiler.stack_thermal(request.base.backend);
   device::validate(thermal);
 
   SimShared shared(request.fleet.serve, spec, workload.queries,
                    workload.profiles, serve.queries, thermal);
-  FleetSim sim(request.fleet, shared, num_classes);
+  FleetSim sim(request.fleet, shared, resolve_mix(spec).size());
   sim.copy_mbps =
-      device::pcie_x16(profiler_.config().gpu_link_gen).bandwidth_mbps;
+      device::pcie_x16(profiler.config().gpu_link_gen).bandwidth_mbps;
   shared.total_depth = [&sim]() { return sim.total_depth(); };
   shared.deliver = [&sim](std::size_t i) { sim.arrive(i); };
   shared.on_complete = [&sim](std::size_t i) { sim.on_complete(i); };
   shared.on_failed = [&sim](std::size_t i) { sim.on_failed(i); };
-  sim.attach_telemetry(telemetry_);
+  sim.attach_telemetry(telemetry);
   sim.schedule_migrations();
   sim.start_elastic();
   sim.schedule_faults();

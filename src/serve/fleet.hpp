@@ -34,9 +34,11 @@
 ///     event links the incident that triggered it, and the run's full
 ///     incident log rides the report (exportable via write_incident_log).
 ///
-/// With replicas=1, the random router, and no quotas/shedding/migration,
-/// FleetServer is bit-identical to QueryServer::serve on the same
-/// request (tier-1 test + bench_fleet --smoke, CI-enforced).
+/// This is the serving layer's only queueing loop: simulate_fleet
+/// (replica.hpp) runs it for FleetServer and, as a one-replica fleet
+/// with the default random router and no quotas, shedding, migration,
+/// elastic controller or faults, for QueryServer::serve. The replicas=1
+/// record identity is pinned by a tier-1 test and bench_fleet --smoke.
 
 #include <cstdint>
 #include <ostream>

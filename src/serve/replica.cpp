@@ -187,25 +187,24 @@ void SimShared::run(obs::SimRunObserver* observer) {
 // ReplicaSim
 // ---------------------------------------------------------------------------
 
-void ReplicaSim::attach_telemetry(const std::string& track_name,
-                                  const std::string& bytes_channel,
-                                  const std::string& heat_trace_name,
-                                  const std::string& depth_channel) {
+void ReplicaSim::attach_telemetry() {
   obs::Telemetry* sink = shared.telemetry;
   if (sink == nullptr) return;
+  const std::string name = "replica" + std::to_string(index);
   if (sink->tracing()) {
     replica_tracing_ = true;
-    track_ = sink->tracer().track("serve", track_name);
+    track_ = sink->tracer().track("serve", name);
     n_quantum_ = sink->tracer().intern("quantum");
   }
   if (sink->sampling()) {
     replica_sampling_ = true;
     ch_bytes_ = sink->sampler().channel(
-        bytes_channel, obs::TimeSeriesSampler::Reduce::kSum);
+        "serve/" + name + "/quantum_bytes",
+        obs::TimeSeriesSampler::Reduce::kSum);
     ch_depth_ = sink->sampler().channel(
-        depth_channel, obs::TimeSeriesSampler::Reduce::kMax);
+        "serve/" + name + "/depth", obs::TimeSeriesSampler::Reduce::kMax);
   }
-  heat_trace_.bind(sink, "serve", heat_trace_name);
+  heat_trace_.bind(sink, "serve", name + "-heat");
 }
 
 void ReplicaSim::note_quantum(std::size_t i, util::SimTime duration,

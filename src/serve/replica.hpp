@@ -1,10 +1,9 @@
 #pragma once
 /// \file replica.hpp
-/// The composable per-replica queueing simulation behind serving.
+/// The per-replica pieces of the serving layer's queueing simulation.
 ///
-/// QueryServer's original queueing loop owned one stack, one ready queue,
-/// and one thermal accumulator. To serve from a fleet those pieces split
-/// in two, sharing a single discrete-event clock:
+/// One discrete-event clock drives the pieces below; FleetSim (fleet.cpp)
+/// owns them for one serve() and adds routing and admission on top:
 ///
 ///   `SimShared` — per *workload* state: the simulator, the query stream
 ///   and its profiles, per-query replay progress (`next_step` lives here
@@ -20,10 +19,9 @@
 ///   queued queries) and `mark_redirect` (hand the in-flight query to a
 ///   sink at its next preemption point instead of requeueing locally).
 ///
-/// QueryServer::serve drives exactly one ReplicaSim through the same
-/// event sequence as the pre-split loop — bit-identical, pinned by the
-/// bench_simcore goldens and serve_test — while serve::FleetServer
-/// drives N of them behind a router.
+/// serve::simulate_fleet is the only place these are built: FleetServer
+/// runs N replicas behind a router, and QueryServer::serve runs a
+/// one-replica fleet.
 
 #include <cstddef>
 #include <cstdint>
@@ -35,6 +33,7 @@
 
 #include "device/state_model.hpp"
 #include "obs/telemetry.hpp"
+#include "serve/fleet.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
 #include "sim/simulator.hpp"
@@ -44,8 +43,7 @@ namespace cxlgraph::serve {
 inline constexpr std::size_t kNoQuery = std::numeric_limits<std::size_t>::max();
 
 /// Workload-wide state of one queueing simulation, shared by every
-/// replica. Owned by the frontend (QueryServer's single-stack serve or
-/// FleetServer's fleet loop) for the duration of one serve() call.
+/// replica. Owned by simulate_fleet for the duration of one serve() call.
 struct SimShared {
   const ServeConfig& config;
   const WorkloadSpec& spec;
@@ -117,7 +115,7 @@ struct SimShared {
   util::Log2Histogram* h_latency_ns = nullptr;
   std::uint32_t ch_depth = 0;  ///< waiting + in service, sampled per event
   /// Aggregate depth across every replica, for the ch_depth samples. Set
-  /// by the frontend (solo: the one replica's depth).
+  /// by the fleet frontend.
   std::function<double()> total_depth;
 
   SimShared(const ServeConfig& config_in, const WorkloadSpec& spec_in,
@@ -197,8 +195,8 @@ struct ReplicaSim {
     return static_cast<double>(ready.size() + (busy() ? 1 : 0));
   }
 
-  /// Admission: counts the query, queues it, and dispatches. The solo
-  /// path and first-time fleet admissions go through here.
+  /// Admission: counts the query, queues it, and dispatches. Every
+  /// first-time admission goes through here.
   void admit(std::size_t i);
   /// Re-queues an already-admitted query (migration resume on the
   /// target): no admitted++ and no admit telemetry, just placement.
@@ -228,13 +226,11 @@ struct ReplicaSim {
   /// Returns the aborted query, or kNoQuery.
   std::size_t abort_active();
 
-  /// Binds per-replica telemetry: the quantum span track, the byte and
-  /// queue-depth channels, and the heat trace. No-op when SimShared is
-  /// untapped.
-  void attach_telemetry(const std::string& track_name,
-                        const std::string& bytes_channel,
-                        const std::string& heat_trace_name,
-                        const std::string& depth_channel);
+  /// Binds per-replica telemetry, named after the index k: the quantum
+  /// span track "replica<k>", the "serve/replica<k>/quantum_bytes" and
+  /// "serve/replica<k>/depth" channels, and the "replica<k>-heat" trace.
+  /// No-op when SimShared is untapped.
+  void attach_telemetry();
 
   void dispatch();
   void quantum_done();
@@ -265,10 +261,23 @@ struct ReplicaSim {
 /// Shared report aggregation over the finished simulation: exact + P²
 /// percentiles, queue/service/ride time split, query-byte conservation
 /// side, goodput and SLO accounting. `busy_ps` is the summed stack busy
-/// time and `capacity_sec` the utilization denominator (solo: makespan;
-/// fleet: summed replica lifetime). Expects report.makespan_sec and the
-/// counters (admitted/completed/shed/link_bytes) already set.
+/// time and `capacity_sec` the utilization denominator (the summed
+/// replica lifetimes; one replica's is the makespan). Expects
+/// report.makespan_sec and the counters (admitted/completed/shed/
+/// link_bytes) already set.
 void summarize_serve(ServeReport& report, const SimShared& shared,
                      util::SimTime busy_ps, double capacity_sec);
+
+/// The queueing simulation behind every serve: record init, the stack's
+/// thermal model (resolved by backend through `profiler`), one
+/// SimShared + FleetSim over request.fleet, the optional telemetry
+/// observer, the run, and the report. Expects `workload` profiled by
+/// `profiler` for `request` and request.fleet already validated.
+/// QueryServer::serve passes a one-replica fleet and returns .serve.
+/// Defined in fleet.cpp, next to FleetSim.
+FleetReport simulate_fleet(const QueryServer& profiler,
+                           const FleetRequest& request,
+                           ProfiledWorkload workload,
+                           obs::Telemetry* telemetry);
 
 }  // namespace cxlgraph::serve

@@ -23,6 +23,10 @@
 ///     admission controller sheds arrivals past the waiting-queue
 ///     capacity.
 ///
+/// Step 2 is the fleet's queueing loop (serve::simulate_fleet in
+/// fleet.hpp) run as a one-replica fleet: the shared stack is replica 0,
+/// and there is no second loop to keep in step with the first.
+///
 /// Everything is deterministic in (graph, ServeRequest): per-query seeds
 /// derive from the workload seed, profiling fan-out is insertion-ordered,
 /// and the queueing simulation is single-threaded. A single admitted
@@ -280,8 +284,10 @@ class QueryServer {
   /// Attaches a telemetry sink (nullptr detaches). When enabled, the
   /// queueing simulation records the query lifecycle (admit / shed /
   /// quanta / complete), queue-depth and heat channels, and stack
-  /// throttle transitions — passively, so every ServeReport field stays
-  /// bit-identical to the detached path. Idle-stack profiling runs are
+  /// throttle transitions under the one-replica fleet's names (track
+  /// "replica0", observer "fleet_sim") — passively, so every ServeReport
+  /// field stays bit-identical to the detached path. Idle-stack
+  /// profiling runs are
   /// deliberately untapped: they fan out across threads and describe
   /// cached profiles, not serving-time behavior.
   void set_telemetry(obs::Telemetry* telemetry) noexcept {

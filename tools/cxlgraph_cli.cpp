@@ -22,14 +22,13 @@
 /// partitioned, every shard gets its own GPU + backend stack, and the
 /// report adds the exchange/cut numbers.
 ///
-/// `serve` admits a seeded stream of mixed analytics queries against one
-/// shared stack (serve::QueryServer) and reports the latency tail,
-/// goodput, SLO violations, and shed rate under the chosen scheduling
-/// policy and admission cap. Any fleet option (--replicas >= 2, --router,
-/// --migrate, --quota, --elastic-max, --slo-shed, --incidents-out)
-/// switches the command to serve::FleetServer: N replicated stacks behind
-/// the chosen router, with optional live tenant migration, elastic
-/// scaling, and the health monitor's incident log (--incidents-out).
+/// `serve` admits a seeded stream of mixed analytics queries against a
+/// fleet of shared stacks (serve::FleetServer; one replica by default)
+/// and reports the latency tail, goodput, SLO violations, and shed rate
+/// under the chosen scheduling policy and admission cap, plus the fleet
+/// options: --replicas behind --router, live tenant migration, quotas,
+/// elastic scaling, fault injection, and the health monitor's incident
+/// log (--incidents-out). Every serve prints the same table.
 
 #include <fstream>
 #include <iostream>
@@ -404,7 +403,7 @@ int cmd_serve(int argc, char** argv) {
   cli.add_option("replicas", "fleet size (>= 2 replicates the stack)", "1");
   cli.add_option("router",
                  "random | join-shortest-queue | class-affinity "
-                 "(engages the fleet path)",
+                 "(empty = random)",
                  "");
   cli.add_option("migrate",
                  "live migrations, comma-separated at_ms:class:from:to",
@@ -425,12 +424,10 @@ int cmd_serve(int argc, char** argv) {
                  "crashes, restart-ms, provision-ms, io-bursts, "
                  "io-burst-ms, io-rate, io-retry-us, io-max-retries, "
                  "link-flaps, flap-ms, flap-derate, query-retries, "
-                 "backoff-us); engages the fleet path",
+                 "backoff-us)",
                  "");
   cli.add_option("incidents-out",
-                 "write the health monitor's incident log JSON here "
-                 "(engages the fleet path)",
-                 "");
+                 "write the health monitor's incident log JSON here", "");
   cli.add_flag("closed-loop",
                "closed-loop clients instead of open-loop Poisson");
   cli.add_flag("gen3", "use the Gen3 (Table-4) system preset");
@@ -449,12 +446,12 @@ int cmd_serve(int argc, char** argv) {
 
   const auto jobs = cli.get_int("jobs");
   if (jobs < 0) throw std::invalid_argument("--jobs must be >= 0");
-  serve::QueryServer server(
+  serve::FleetServer server(
       cli.get_bool("gen3") ? core::table4_system() : core::table3_system(),
       static_cast<unsigned>(jobs));
   server.set_telemetry(telemetry.get());
 
-  serve::ServeRequest req;
+  serve::FleetRequest req;
   req.base.backend = core::backend_from_name(cli.get("backend"));
   req.workload.seed = seed;
   req.workload.num_queries =
@@ -488,180 +485,125 @@ int cmd_serve(int argc, char** argv) {
     first_class = false;
     req.workload.mix.push_back(cls);
   }
-  req.config.policy = serve::policy_from_name(cli.get("policy"));
-  req.config.max_waiting =
+  req.fleet.serve.policy = serve::policy_from_name(cli.get("policy"));
+  req.fleet.serve.max_waiting =
       static_cast<std::uint32_t>(cli.get_int("queue-cap"));
-  req.config.quantum_supersteps =
+  req.fleet.serve.quantum_supersteps =
       static_cast<std::uint32_t>(cli.get_int("quantum"));
 
-  // Any fleet option routes the request through serve::FleetServer.
-  const auto replicas = static_cast<std::uint32_t>(cli.get_int("replicas"));
+  req.fleet.replicas = static_cast<std::uint32_t>(cli.get_int("replicas"));
+  if (!cli.get("router").empty()) {
+    req.fleet.router = serve::router_from_name(cli.get("router"));
+  }
+  req.fleet.migrations = parse_migrations(cli.get("migrate"));
+  req.fleet.quotas = parse_quotas(cli.get("quota"));
+  req.fleet.slo_shedding = cli.get_bool("slo-shed");
   const auto elastic_max =
       static_cast<std::uint32_t>(cli.get_int("elastic-max"));
-  const bool fleet_path = replicas >= 2 || !cli.get("router").empty() ||
-                          !cli.get("migrate").empty() ||
-                          !cli.get("quota").empty() || elastic_max > 0 ||
-                          cli.get_bool("slo-shed") ||
-                          !cli.get("faults").empty() ||
-                          !cli.get("incidents-out").empty();
-  if (fleet_path) {
-    if (replicas == 0) {
-      throw std::invalid_argument("--replicas must be >= 1");
-    }
-    serve::FleetRequest freq;
-    freq.base = req.base;
-    freq.workload = req.workload;
-    freq.fleet.serve = req.config;
-    freq.fleet.replicas = replicas;
-    if (!cli.get("router").empty()) {
-      freq.fleet.router = serve::router_from_name(cli.get("router"));
-    }
-    freq.fleet.migrations = parse_migrations(cli.get("migrate"));
-    freq.fleet.quotas = parse_quotas(cli.get("quota"));
-    freq.fleet.slo_shedding = cli.get_bool("slo-shed");
-    if (elastic_max > 0) {
-      freq.fleet.elastic.enabled = true;
-      freq.fleet.elastic.max_replicas = elastic_max;
-      freq.fleet.elastic.check_interval_sec =
-          cli.get_double("elastic-interval-us") * 1e-6;
-    }
-    if (!cli.get("faults").empty()) {
-      freq.fleet.faults = fault::parse_fault_spec(cli.get("faults"));
-    }
-    serve::FleetServer fleet_server(cli.get_bool("gen3")
-                                        ? core::table4_system()
-                                        : core::table3_system(),
-                                    static_cast<unsigned>(jobs));
-    fleet_server.set_telemetry(telemetry.get());
-    const serve::FleetReport fr = fleet_server.serve(g, freq);
-    const serve::ServeReport& s = fr.serve;
-    if (!s.conservation_ok()) {
-      std::cerr << "error: serve byte-conservation check failed: link "
-                << s.link_bytes << " != queries " << s.query_bytes
-                << " + lost " << s.lost_bytes << "\n";
-      return 1;
-    }
-    util::TablePrinter table({"Metric", "Value"});
-    table.add_row({"backend", s.backend + " (" + s.access_method + ")"});
-    table.add_row({"fleet", std::to_string(fr.replicas) + " replicas (" +
-                                fr.router + " router), peak " +
-                                std::to_string(fr.peak_replicas)});
-    table.add_row({"policy", s.policy + " / " + s.process});
-    table.add_row({"queries",
-                   util::fmt_count(s.offered) + " offered, " +
-                       util::fmt_count(s.completed) + " completed, " +
-                       util::fmt_count(s.shed) + " shed"});
-    table.add_row({"shed (queue/quota/slo)",
-                   std::to_string(fr.shed_queue) + " / " +
-                       std::to_string(fr.shed_quota) + " / " +
-                       std::to_string(fr.shed_deadline)});
-    table.add_row({"makespan",
-                   util::fmt(s.makespan_sec * 1e3, 3) + " ms"});
-    table.add_row({"completed throughput",
-                   util::fmt(s.completed_qps, 1) + " qps"});
-    table.add_row({"goodput (within SLO)",
-                   util::fmt(s.goodput_qps, 1) + " qps"});
-    table.add_row({"latency p50 / p95 / p99",
-                   util::fmt(s.latency_us.p50 / 1e3, 3) + " / " +
-                       util::fmt(s.latency_us.p95 / 1e3, 3) + " / " +
-                       util::fmt(s.latency_us.p99 / 1e3, 3) + " ms"});
-    table.add_row({"fleet utilization", util::fmt(s.utilization, 3)});
-    table.add_row({"shared-link bytes", util::format_bytes(s.link_bytes)});
-    if (!fr.migrations.empty()) {
-      table.add_row({"migrations",
-                     util::fmt_count(fr.migrations.size()) + " (" +
-                         util::format_bytes(fr.migration_bytes) +
-                         " state copied, " +
-                         util::fmt(fr.migration_sec * 1e6, 1) + " us)"});
-    }
-    if (freq.fleet.faults.enabled()) {
-      table.add_row({"queries failed", util::fmt_count(s.failed)});
-      table.add_row({"availability", util::fmt(fr.availability, 4)});
-      table.add_row({"crashes / restarts / replacements",
-                     std::to_string(fr.crashes) + " / " +
-                         std::to_string(fr.restarts) + " / " +
-                         std::to_string(fr.replacements)});
-      table.add_row({"query retries", util::fmt_count(s.query_retries)});
-      table.add_row({"lost work",
-                     util::fmt(s.lost_work_sec * 1e3, 3) + " ms, " +
-                         util::format_bytes(s.lost_bytes)});
-      table.add_row({"io retries / link windows",
-                     std::to_string(fr.io_error_retries) + " / " +
-                         std::to_string(fr.link_degrade_windows)});
-    }
-    if (!fr.incidents.empty()) {
-      std::uint32_t open = 0;
-      for (const obs::Incident& inc : fr.incidents) {
-        if (inc.open) ++open;
-      }
-      table.add_row({"health incidents",
-                     util::fmt_count(fr.incidents.size()) + " (" +
-                         std::to_string(open) + " still open)"});
-    }
-    table.print(std::cout);
-    for (const serve::ReplicaStats& rs : fr.replica_stats) {
-      std::cout << "  replica " << rs.replica << ": "
-                << util::fmt_count(rs.served) << " served, util "
-                << util::fmt(rs.utilization, 3)
-                << (rs.retired ? " (retired)" : "") << "\n";
-    }
-    for (const serve::ScalingEvent& ev : fr.scaling_events) {
-      std::cout << "  " << (ev.added ? "scale-up" : "scale-down") << " t="
-                << util::fmt(ev.at_sec * 1e3, 3) << " ms: p99 "
-                << util::fmt(ev.p99_before_us / 1e3, 3) << " -> "
-                << util::fmt(ev.p99_after_us / 1e3, 3) << " ms";
-      if (ev.incident >= 0) std::cout << " (incident #" << ev.incident << ")";
-      std::cout << "\n";
-    }
-    if (!cli.get("incidents-out").empty()) {
-      if (!serve::save_incident_log(cli.get("incidents-out"), fr)) {
-        std::cerr << "error: cannot write " << cli.get("incidents-out")
-                  << "\n";
-        return 1;
-      }
-      std::cout << "incident log written to " << cli.get("incidents-out")
-                << "\n";
-    }
-    return save_telemetry(cli, telemetry.get());
+  if (elastic_max > 0) {
+    req.fleet.elastic.enabled = true;
+    req.fleet.elastic.max_replicas = elastic_max;
+    req.fleet.elastic.check_interval_sec =
+        cli.get_double("elastic-interval-us") * 1e-6;
+  }
+  if (!cli.get("faults").empty()) {
+    req.fleet.faults = fault::parse_fault_spec(cli.get("faults"));
   }
 
-  const serve::ServeReport r = server.serve(g, req);
-  if (!r.conservation_ok()) {
+  const serve::FleetReport fr = server.serve(g, req);
+  const serve::ServeReport& s = fr.serve;
+  if (!s.conservation_ok()) {
     std::cerr << "error: serve byte-conservation check failed: link "
-              << r.link_bytes << " != queries " << r.query_bytes
-              << " + lost " << r.lost_bytes << "\n";
+              << s.link_bytes << " != queries " << s.query_bytes
+              << " + lost " << s.lost_bytes << "\n";
     return 1;
   }
-
   util::TablePrinter table({"Metric", "Value"});
-  table.add_row({"backend", r.backend + " (" + r.access_method + ")"});
-  table.add_row({"policy", r.policy + " / " + r.process});
-  table.add_row({"queries",
-                 util::fmt_count(r.offered) + " offered, " +
-                     util::fmt_count(r.completed) + " completed, " +
-                     util::fmt_count(r.shed) + " shed"});
-  table.add_row({"makespan", util::fmt(r.makespan_sec * 1e3, 3) + " ms"});
+  table.add_row({"backend", s.backend + " (" + s.access_method + ")"});
+  table.add_row({"fleet", std::to_string(fr.replicas) + " replicas (" +
+                              fr.router + " router), peak " +
+                              std::to_string(fr.peak_replicas)});
+  table.add_row({"policy", s.policy + " / " + s.process});
+  table.add_row({"queries", util::fmt_count(s.offered) + " offered, " +
+                                util::fmt_count(s.completed) + " completed, " +
+                                util::fmt_count(s.shed) + " shed"});
+  table.add_row({"shed (queue/quota/slo)",
+                 std::to_string(fr.shed_queue) + " / " +
+                     std::to_string(fr.shed_quota) + " / " +
+                     std::to_string(fr.shed_deadline)});
+  table.add_row({"makespan", util::fmt(s.makespan_sec * 1e3, 3) + " ms"});
   table.add_row({"completed throughput",
-                 util::fmt(r.completed_qps, 1) + " qps"});
+                 util::fmt(s.completed_qps, 1) + " qps"});
   table.add_row({"goodput (within SLO)",
-                 util::fmt(r.goodput_qps, 1) + " qps"});
-  table.add_row({"SLO violation rate",
-                 util::fmt(r.slo_violation_rate, 3)});
+                 util::fmt(s.goodput_qps, 1) + " qps"});
+  table.add_row({"SLO violation rate", util::fmt(s.slo_violation_rate, 3)});
   table.add_row({"latency p50 / p95 / p99",
-                 util::fmt(r.latency_us.p50 / 1e3, 3) + " / " +
-                     util::fmt(r.latency_us.p95 / 1e3, 3) + " / " +
-                     util::fmt(r.latency_us.p99 / 1e3, 3) + " ms"});
+                 util::fmt(s.latency_us.p50 / 1e3, 3) + " / " +
+                     util::fmt(s.latency_us.p95 / 1e3, 3) + " / " +
+                     util::fmt(s.latency_us.p99 / 1e3, 3) + " ms"});
   table.add_row({"streaming p99 (P2)",
-                 util::fmt(r.streaming_p99_us / 1e3, 3) + " ms"});
-  table.add_row({"P2 max rel error", util::fmt(r.p2_max_rel_error, 4)});
+                 util::fmt(s.streaming_p99_us / 1e3, 3) + " ms"});
+  table.add_row({"P2 max rel error", util::fmt(s.p2_max_rel_error, 4)});
   table.add_row({"time in queue / in service",
-                 util::fmt(r.time_in_queue_sec * 1e3, 3) + " / " +
-                     util::fmt(r.time_in_service_sec * 1e3, 3) + " ms"});
-  table.add_row({"server utilization", util::fmt(r.utilization, 3)});
-  table.add_row({"shared-link bytes", util::format_bytes(r.link_bytes)});
-  table.add_row({"distinct profiles",
-                 util::fmt_count(r.profiles.size())});
+                 util::fmt(s.time_in_queue_sec * 1e3, 3) + " / " +
+                     util::fmt(s.time_in_service_sec * 1e3, 3) + " ms"});
+  table.add_row({"utilization", util::fmt(s.utilization, 3)});
+  table.add_row({"shared-link bytes", util::format_bytes(s.link_bytes)});
+  table.add_row({"distinct profiles", util::fmt_count(s.profiles.size())});
+  if (!fr.migrations.empty()) {
+    table.add_row({"migrations",
+                   util::fmt_count(fr.migrations.size()) + " (" +
+                       util::format_bytes(fr.migration_bytes) +
+                       " state copied, " +
+                       util::fmt(fr.migration_sec * 1e6, 1) + " us)"});
+  }
+  if (req.fleet.faults.enabled()) {
+    table.add_row({"queries failed", util::fmt_count(s.failed)});
+    table.add_row({"availability", util::fmt(fr.availability, 4)});
+    table.add_row({"crashes / restarts / replacements",
+                   std::to_string(fr.crashes) + " / " +
+                       std::to_string(fr.restarts) + " / " +
+                       std::to_string(fr.replacements)});
+    table.add_row({"query retries", util::fmt_count(s.query_retries)});
+    table.add_row({"lost work", util::fmt(s.lost_work_sec * 1e3, 3) +
+                                    " ms, " +
+                                    util::format_bytes(s.lost_bytes)});
+    table.add_row({"io retries / link windows",
+                   std::to_string(fr.io_error_retries) + " / " +
+                       std::to_string(fr.link_degrade_windows)});
+  }
+  if (!fr.incidents.empty()) {
+    std::uint32_t open = 0;
+    for (const obs::Incident& inc : fr.incidents) {
+      if (inc.open) ++open;
+    }
+    table.add_row({"health incidents",
+                   util::fmt_count(fr.incidents.size()) + " (" +
+                       std::to_string(open) + " still open)"});
+  }
   table.print(std::cout);
+  for (const serve::ReplicaStats& rs : fr.replica_stats) {
+    std::cout << "  replica " << rs.replica << ": "
+              << util::fmt_count(rs.served) << " served, util "
+              << util::fmt(rs.utilization, 3)
+              << (rs.retired ? " (retired)" : "") << "\n";
+  }
+  for (const serve::ScalingEvent& ev : fr.scaling_events) {
+    std::cout << "  " << (ev.added ? "scale-up" : "scale-down") << " t="
+              << util::fmt(ev.at_sec * 1e3, 3) << " ms: p99 "
+              << util::fmt(ev.p99_before_us / 1e3, 3) << " -> "
+              << util::fmt(ev.p99_after_us / 1e3, 3) << " ms";
+    if (ev.incident >= 0) std::cout << " (incident #" << ev.incident << ")";
+    std::cout << "\n";
+  }
+  if (!cli.get("incidents-out").empty()) {
+    if (!serve::save_incident_log(cli.get("incidents-out"), fr)) {
+      std::cerr << "error: cannot write " << cli.get("incidents-out") << "\n";
+      return 1;
+    }
+    std::cout << "incident log written to " << cli.get("incidents-out")
+              << "\n";
+  }
   return save_telemetry(cli, telemetry.get());
 }
 
