@@ -13,14 +13,17 @@
 /// the per-transaction processing gap — each later than the one before).
 /// The queue therefore keeps one FIFO *lane* per (listener, opcode) class,
 /// appends in O(1) while a stream stays monotone, and falls back to a flat
-/// 4-ary min-heap for the rare out-of-order push. pop() takes the
-/// lexicographic (time, seq) minimum over the lane heads and the heap
-/// front, so the drain order is *exactly* the (time, seq) order a single
-/// heap would produce — lanes are a speed trick, not a semantic: equal
-/// timestamps still execute in push order (the monotonically increasing
-/// sequence number breaks ties), keeping every simulation bit-for-bit
-/// deterministic, and a stream that stops being monotone only loses the
-/// fast path, never its ordering.
+/// 4-ary min-heap for the rare out-of-order push. Each non-empty lane's
+/// head sits in a second, small binary min-heap keyed on (time, seq), so
+/// pop() compares two fronts — lane heads and out-of-order heap — and
+/// then re-sifts one entry: O(log lanes) instead of a scan over every
+/// lane. A push onto a non-empty lane touches neither heap. The drain
+/// order is *exactly* the (time, seq) order a single heap would produce
+/// — lanes are a speed trick, not a semantic: equal timestamps still
+/// execute in push order (the monotonically increasing sequence number
+/// breaks ties), keeping every simulation bit-for-bit deterministic, and a
+/// stream that stops being monotone only loses the fast path, never its
+/// ordering.
 
 #include <algorithm>
 #include <cstddef>
@@ -53,53 +56,67 @@ class EventQueue {
             std::uint32_t a = 0, std::uint32_t b = 0) {
     const Event e{time, next_seq_++, a, b, listener, opcode};
     ++count_;
-    Lane& lane = lanes_[lane_for(listener, opcode)];
-    if (lane.events.empty() || time >= lane.events.back().time) {
+    const std::uint32_t index = lane_for(listener, opcode);
+    Lane& lane = lanes_[index];
+    if (lane.events.empty()) {
+      lane.events.push_back(e);
+      heap_push<kHeadsArity>(heads_, Head{e.time, e.seq, index});
+    } else if (time >= lane.events.back().time) {
       lane.events.push_back(e);  // seq grows monotonically: stays sorted
     } else {
-      heap_push(e);
+      heap_push<kArity>(heap_, e);
     }
-    min_valid_ = false;  // rescan on next pop/peek
   }
 
   bool empty() const noexcept { return count_ == 0; }
   std::size_t size() const noexcept { return count_; }
 
+  /// Time of the earliest event. Undefined when empty().
   SimTime next_time() const noexcept {
-    return const_cast<EventQueue*>(this)->find_min().time;
+    if (heads_.empty()) return heap_.front().time;
+    if (heap_.empty()) return heads_.front().time;
+    return std::min(heads_.front().time, heap_.front().time);
   }
 
   /// Removes and returns the earliest event. Undefined when empty().
   Event pop() {
-    const Event e = find_min();
-    if (min_lane_ == kHeapLane) {
-      heap_pop();
-    } else {
-      Lane& lane = lanes_[min_lane_];
-      ++lane.head;
-      if (lane.head == lane.events.size()) {
-        lane.events.clear();
-        lane.head = 0;
-      } else if (lane.head >= 1024 && lane.head * 2 >= lane.events.size()) {
-        // Steady-state lanes never fully drain; compact the served prefix
-        // occasionally (amortized O(1)) so memory stays bounded.
-        lane.events.erase(lane.events.begin(),
-                          lane.events.begin() +
-                              static_cast<std::ptrdiff_t>(lane.head));
-        lane.head = 0;
-      }
-    }
     --count_;
-    min_valid_ = false;
+    if (!heap_.empty() &&
+        (heads_.empty() || before(heap_.front(), heads_.front()))) {
+      const Event e = heap_.front();
+      heap_pop<kArity>(heap_);
+      return e;
+    }
+    const std::uint32_t index = heads_.front().lane;
+    Lane& lane = lanes_[index];
+    const Event e = lane.events[lane.head];
+    ++lane.head;
+    if (lane.head == lane.events.size()) {
+      lane.events.clear();
+      lane.head = 0;
+      heap_pop<kHeadsArity>(heads_);
+      return e;
+    }
+    if (lane.head >= 1024 && lane.head * 2 >= lane.events.size()) {
+      // Steady-state lanes never fully drain; compact the served prefix
+      // occasionally (amortized O(1)) so memory stays bounded.
+      lane.events.erase(lane.events.begin(),
+                        lane.events.begin() +
+                            static_cast<std::ptrdiff_t>(lane.head));
+      lane.head = 0;
+    }
+    const Event& next = lane.events[lane.head];
+    heap_replace_front<kHeadsArity>(heads_, Head{next.time, next.seq, index});
     return e;
   }
 
  private:
-  static constexpr std::size_t kArity = 4;
-  static constexpr std::uint32_t kHeapLane = 0xffffffffu;
+  static constexpr std::size_t kArity = 4;       // heap_
+  static constexpr std::size_t kHeadsArity = 2;  // heads_
   /// Beyond this many distinct (listener, opcode) classes, the rest share
-  /// the heap — ordering is unaffected, only the fast path.
+  /// one overflow lane — ordering is unaffected, only the fast path.
   static constexpr std::size_t kMaxLanes = 48;
+  static constexpr std::uint32_t kNoLane = 0xffffffffu;
 
   struct Lane {
     std::uint32_t key = 0;
@@ -107,122 +124,103 @@ class EventQueue {
     std::vector<Event> events;
   };
 
-  static bool before(const Event& x, const Event& y) noexcept {
+  /// A non-empty lane's first unserved event, as a heads_ entry.
+  struct Head {
+    SimTime time;
+    std::uint64_t seq;
+    std::uint32_t lane;
+  };
+
+  template <typename X, typename Y>
+  static bool before(const X& x, const Y& y) noexcept {
     if (x.time != y.time) return x.time < y.time;
     return x.seq < y.seq;
   }
 
   /// Maps (listener, opcode) to a lane via a small open-addressed table.
-  std::size_t lane_for(std::uint16_t listener, std::uint16_t opcode) {
+  std::uint32_t lane_for(std::uint16_t listener, std::uint16_t opcode) {
     const std::uint32_t key =
         (static_cast<std::uint32_t>(listener) << 16) | opcode;
     std::size_t slot = (key * 0x9e3779b1u) & (kTableSize - 1);
     for (;;) {
       const std::int32_t entry = table_[slot];
       if (entry >= 0 && lanes_[static_cast<std::size_t>(entry)].key == key) {
-        return static_cast<std::size_t>(entry);
+        return static_cast<std::uint32_t>(entry);
       }
       if (entry < 0) {
         if (lanes_.size() >= kMaxLanes) return overflow_lane();
         lanes_.push_back(Lane{key, 0, {}});
         table_[slot] = static_cast<std::int32_t>(lanes_.size() - 1);
-        return lanes_.size() - 1;
+        return static_cast<std::uint32_t>(lanes_.size() - 1);
       }
       slot = (slot + 1) & (kTableSize - 1);
     }
   }
 
-  /// Shared lane of last resort once the table is full; it is almost never
-  /// monotone, so its pushes effectively land in the heap.
-  std::size_t overflow_lane() {
-    if (lanes_.empty() || lanes_[0].key != 0xffffffffu) {
-      lanes_.insert(lanes_.begin(), Lane{0xffffffffu, 0, {}});
-      // Table entries shift by one; rebuild.
-      rebuild_table();
+  /// Shared lane of last resort once the table is full, appended after the
+  /// keyed lanes so no existing index moves. It is almost never monotone,
+  /// so its pushes effectively land in the heap.
+  std::uint32_t overflow_lane() {
+    if (overflow_ == kNoLane) {
+      overflow_ = static_cast<std::uint32_t>(lanes_.size());
+      lanes_.push_back(Lane{kNoLane, 0, {}});
     }
-    return 0;
+    return overflow_;
   }
 
-  void rebuild_table() {
-    table_.assign(kTableSize, -1);
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      if (lanes_[i].key == 0xffffffffu) continue;
-      std::size_t slot = (lanes_[i].key * 0x9e3779b1u) & (kTableSize - 1);
-      while (table_[slot] >= 0) slot = (slot + 1) & (kTableSize - 1);
-      table_[slot] = static_cast<std::int32_t>(i);
-    }
-  }
+  // Implicit Arity-ary min-heaps on (time, seq). Both sift directions
+  // move a hole instead of swapping — one copy per level rather than three.
 
-  const Event& cached_min() const {
-    return min_lane_ == kHeapLane ? heap_.front()
-                                  : lanes_[min_lane_]
-                                        .events[lanes_[min_lane_].head];
-  }
-
-  /// Scans lane heads + heap front for the (time, seq) minimum.
-  const Event& find_min() {
-    if (min_valid_) return cached_min();
-    const Event* best = nullptr;
-    std::uint32_t best_lane = kHeapLane;
-    if (!heap_.empty()) best = &heap_.front();
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      const Lane& lane = lanes_[i];
-      if (lane.head == lane.events.size()) continue;
-      const Event& head = lane.events[lane.head];
-      if (best == nullptr || before(head, *best)) {
-        best = &head;
-        best_lane = static_cast<std::uint32_t>(i);
-      }
-    }
-    min_lane_ = best_lane;
-    min_valid_ = true;
-    return *best;
-  }
-
-  // Both sift directions move a hole instead of swapping — one 32-byte
-  // copy per level rather than three.
-  void heap_push(const Event& e) {
-    std::size_t i = heap_.size();
-    heap_.push_back(e);  // placeholder; overwritten below
+  /// Appends `x` to `heap` and sifts it up.
+  template <std::size_t Arity, typename T>
+  static void heap_push(std::vector<T>& heap, const T& x) {
+    std::size_t i = heap.size();
+    heap.push_back(x);  // placeholder; overwritten below
     while (i > 0) {
-      const std::size_t parent = (i - 1) / kArity;
-      if (!before(e, heap_[parent])) break;
-      heap_[i] = heap_[parent];
+      const std::size_t parent = (i - 1) / Arity;
+      if (!before(x, heap[parent])) break;
+      heap[i] = heap[parent];
       i = parent;
     }
-    heap_[i] = e;
+    heap[i] = x;
   }
 
-  void heap_pop() {
-    const Event back = heap_.back();
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (n == 0) return;
+  /// Replaces the front of a non-empty `heap` with `x` and sifts it down.
+  template <std::size_t Arity, typename T>
+  static void heap_replace_front(std::vector<T>& heap, const T& x) {
+    const std::size_t n = heap.size();
     std::size_t i = 0;
     for (;;) {
-      const std::size_t first_child = i * kArity + 1;
+      const std::size_t first_child = i * Arity + 1;
       if (first_child >= n) break;
       std::size_t best = first_child;
-      const std::size_t last_child = std::min(first_child + kArity, n);
+      const std::size_t last_child = std::min(first_child + Arity, n);
       for (std::size_t c = first_child + 1; c < last_child; ++c) {
-        if (before(heap_[c], heap_[best])) best = c;
+        if (before(heap[c], heap[best])) best = c;
       }
-      if (!before(heap_[best], back)) break;
-      heap_[i] = heap_[best];
+      if (!before(heap[best], x)) break;
+      heap[i] = heap[best];
       i = best;
     }
-    heap_[i] = back;
+    heap[i] = x;
+  }
+
+  template <std::size_t Arity, typename T>
+  static void heap_pop(std::vector<T>& heap) {
+    const T back = heap.back();
+    heap.pop_back();
+    if (!heap.empty()) heap_replace_front<Arity>(heap, back);
   }
 
   static constexpr std::size_t kTableSize = 128;
 
-  std::vector<Event> heap_;  // implicit 4-ary min-heap on (time, seq)
+  std::vector<Event> heap_;  // 4-ary: the out-of-order pushes
+  std::vector<Head> heads_;  // binary: one entry per non-empty lane
   std::vector<Lane> lanes_;
   std::vector<std::int32_t> table_ = std::vector<std::int32_t>(kTableSize, -1);
   std::size_t count_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint32_t min_lane_ = kHeapLane;
-  bool min_valid_ = false;
+  std::uint32_t overflow_ = kNoLane;
 };
 
 }  // namespace cxlgraph::sim

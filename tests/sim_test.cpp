@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <queue>
+#include <random>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -154,6 +157,99 @@ TEST(EventQueue, SizeCountsRunAndHeap) {
   q.pop();
   q.pop();
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, MatchesReferenceHeapOnRandomMix) {
+  // Differential check against a plain priority queue ordered on
+  // (time, insertion seq). The mix spans 80 (listener, opcode) classes —
+  // more than the queue has lanes, so the overflow lane is used — with
+  // monotone per-class streams, out-of-order pushes, equal-timestamp
+  // bursts, full drains that empty every lane before it refills, and one
+  // lane grown past 2048 events so its served prefix is compacted while
+  // it still has a tail.
+  struct Ref {
+    SimTime time;
+    std::uint64_t seq;
+    std::uint16_t listener;
+    std::uint16_t opcode;
+  };
+  const auto later = [](const Ref& x, const Ref& y) {
+    return x.time != y.time ? x.time > y.time : x.seq > y.seq;
+  };
+  std::priority_queue<Ref, std::vector<Ref>, decltype(later)> ref(later);
+  EventQueue q;
+  std::mt19937_64 rng(0x5eed1e55ULL);
+  const auto below = [&rng](std::uint64_t n) { return rng() % n; };
+
+  constexpr std::uint32_t kClasses = 80;
+  std::vector<SimTime> clock(kClasses, 0);  // per-class monotone stream
+  SimTime now = 0;
+  std::uint64_t seq = 0;
+  std::uint64_t pops = 0;
+
+  const auto push = [&](std::uint32_t cls, SimTime time) {
+    const auto listener = static_cast<std::uint16_t>(cls % 20);
+    const auto opcode = static_cast<std::uint16_t>(cls / 20);
+    q.push(time, listener, opcode, static_cast<std::uint32_t>(seq), cls);
+    ref.push(Ref{time, seq, listener, opcode});
+    ++seq;
+  };
+  const auto push_monotone = [&](std::uint32_t cls) {
+    clock[cls] = std::max(clock[cls], now) + below(1000);
+    push(cls, clock[cls]);
+  };
+  const auto pop = [&]() {
+    ASSERT_EQ(q.size(), ref.size());
+    ASSERT_FALSE(q.empty());
+    const Ref want = ref.top();
+    ref.pop();
+    ASSERT_EQ(q.next_time(), want.time) << "at pop " << pops;
+    const Event got = q.pop();
+    ASSERT_EQ(got.time, want.time) << "at pop " << pops;
+    ASSERT_EQ(got.a, static_cast<std::uint32_t>(want.seq)) << "at pop " << pops;
+    ASSERT_EQ(got.listener, want.listener);
+    ASSERT_EQ(got.opcode, want.opcode);
+    now = got.time;
+    ++pops;
+  };
+
+  for (int round = 0; round < 40 && !HasFailure(); ++round) {
+    if (round == 7) {
+      // One long monotone lane, drained while it keeps growing.
+      for (int i = 0; i < 3000; ++i) push_monotone(0);
+      for (int i = 0; i < 2500 && !HasFailure(); ++i) {
+        pop();
+        if (below(2) == 0) push_monotone(0);
+      }
+    }
+    for (int step = 0; step < 2000 && !HasFailure(); ++step) {
+      const std::uint64_t roll = below(100);
+      if (roll < 45 && !ref.empty()) {
+        pop();
+      } else if (roll < 80) {
+        push_monotone(static_cast<std::uint32_t>(below(kClasses)));
+      } else if (roll < 92) {
+        // Out of order: may land before its class's latest push.
+        push(static_cast<std::uint32_t>(below(kClasses)), now + below(1500));
+      } else {
+        // Equal-timestamp burst across random classes.
+        const SimTime at = now + below(50);
+        const std::uint64_t burst = 2 + below(12);
+        for (std::uint64_t i = 0; i < burst; ++i) {
+          push(static_cast<std::uint32_t>(below(kClasses)), at);
+        }
+      }
+    }
+    if (round % 5 == 4) {
+      while (!ref.empty() && !HasFailure()) pop();
+      if (!HasFailure()) {
+        EXPECT_TRUE(q.empty());
+      }
+    }
+  }
+  while (!ref.empty() && !HasFailure()) pop();
+  EXPECT_TRUE(q.empty());
+  EXPECT_GT(pops, 50000u);
 }
 
 // ------------------------------------------------------------ simulator ----

@@ -32,6 +32,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -355,6 +356,17 @@ std::vector<serve::MigrationPlan> parse_migrations(const std::string& spec) {
   return plans;
 }
 
+/// Reads a count option. A negative value is rejected here rather than
+/// wrapping to a huge unsigned count.
+std::uint32_t get_count(const util::CliParser& cli, const std::string& name) {
+  const std::int64_t value = cli.get_int(name);
+  if (value < 0) throw std::invalid_argument("--" + name + " must be >= 0");
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("--" + name + " is out of range");
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
 /// "class:max_in_flight", comma-separated.
 std::vector<serve::TenantQuota> parse_quotas(const std::string& spec) {
   std::vector<serve::TenantQuota> quotas;
@@ -436,39 +448,25 @@ int cmd_serve(int argc, char** argv) {
   const std::unique_ptr<obs::Telemetry> telemetry = make_telemetry(cli);
 
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const graph::CsrGraph g =
-      cli.get("graph").empty()
-          ? graph::make_dataset(
-                graph::dataset_from_name(cli.get("dataset")),
-                static_cast<unsigned>(cli.get_int("scale")),
-                /*weighted=*/true, seed)
-          : graph::load_binary_file(cli.get("graph"));
-
-  const auto jobs = cli.get_int("jobs");
-  if (jobs < 0) throw std::invalid_argument("--jobs must be >= 0");
   serve::FleetServer server(
       cli.get_bool("gen3") ? core::table4_system() : core::table3_system(),
-      static_cast<unsigned>(jobs));
+      get_count(cli, "jobs"));
   server.set_telemetry(telemetry.get());
 
   serve::FleetRequest req;
   req.base.backend = core::backend_from_name(cli.get("backend"));
   req.workload.seed = seed;
-  req.workload.num_queries =
-      static_cast<std::uint32_t>(cli.get_int("queries"));
-  req.workload.source_pool =
-      static_cast<std::uint32_t>(cli.get_int("source-pool"));
+  req.workload.num_queries = get_count(cli, "queries");
+  req.workload.source_pool = get_count(cli, "source-pool");
   if (cli.get_bool("closed-loop")) {
     req.workload.process = serve::ArrivalProcess::kClosedLoop;
-    req.workload.num_clients =
-        static_cast<std::uint32_t>(cli.get_int("clients"));
+    req.workload.num_clients = get_count(cli, "clients");
     req.workload.mean_think_time =
         util::ps_from_us(cli.get_double("think-us"));
   } else {
     req.workload.offered_qps = cli.get_double("qps");
   }
-  const auto span_shards =
-      static_cast<std::uint32_t>(cli.get_int("span-shards"));
+  const std::uint32_t span_shards = get_count(cli, "span-shards");
   if (cli.get("mix").empty()) {
     throw std::invalid_argument(
         "serve: --mix must name at least one algorithm");
@@ -486,20 +484,17 @@ int cmd_serve(int argc, char** argv) {
     req.workload.mix.push_back(cls);
   }
   req.fleet.serve.policy = serve::policy_from_name(cli.get("policy"));
-  req.fleet.serve.max_waiting =
-      static_cast<std::uint32_t>(cli.get_int("queue-cap"));
-  req.fleet.serve.quantum_supersteps =
-      static_cast<std::uint32_t>(cli.get_int("quantum"));
+  req.fleet.serve.max_waiting = get_count(cli, "queue-cap");
+  req.fleet.serve.quantum_supersteps = get_count(cli, "quantum");
 
-  req.fleet.replicas = static_cast<std::uint32_t>(cli.get_int("replicas"));
+  req.fleet.replicas = get_count(cli, "replicas");
   if (!cli.get("router").empty()) {
     req.fleet.router = serve::router_from_name(cli.get("router"));
   }
   req.fleet.migrations = parse_migrations(cli.get("migrate"));
   req.fleet.quotas = parse_quotas(cli.get("quota"));
   req.fleet.slo_shedding = cli.get_bool("slo-shed");
-  const auto elastic_max =
-      static_cast<std::uint32_t>(cli.get_int("elastic-max"));
+  const std::uint32_t elastic_max = get_count(cli, "elastic-max");
   if (elastic_max > 0) {
     req.fleet.elastic.enabled = true;
     req.fleet.elastic.max_replicas = elastic_max;
@@ -510,6 +505,14 @@ int cmd_serve(int argc, char** argv) {
     req.fleet.faults = fault::parse_fault_spec(cli.get("faults"));
   }
 
+  // Built last, so a bad option fails before the graph is generated.
+  const graph::CsrGraph g =
+      cli.get("graph").empty()
+          ? graph::make_dataset(
+                graph::dataset_from_name(cli.get("dataset")),
+                static_cast<unsigned>(cli.get_int("scale")),
+                /*weighted=*/true, seed)
+          : graph::load_binary_file(cli.get("graph"));
   const serve::FleetReport fr = server.serve(g, req);
   const serve::ServeReport& s = fr.serve;
   if (!s.conservation_ok()) {
