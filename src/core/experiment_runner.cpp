@@ -1,7 +1,6 @@
 #include "core/experiment_runner.hpp"
 
 #include <algorithm>
-#include <future>
 #include <stdexcept>
 #include <thread>
 
@@ -30,47 +29,20 @@ std::vector<RunReport> ExperimentRunner::run_all(
     }
   }
 
-  std::vector<RunReport> reports(jobs.size());
-  if (jobs_ == 1 || jobs.size() <= 1) {
-    ExternalGraphRuntime rt(config_);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (jobs[i].config) {
-        ExternalGraphRuntime custom(*jobs[i].config);
-        reports[i] = custom.run(*jobs[i].graph, jobs[i].request);
-      } else {
-        reports[i] = rt.run(*jobs[i].graph, jobs[i].request);
-      }
-    }
-    return reports;
+  // Every default-config job shares one runtime, so each distinct access
+  // trace in the sweep is built once (see ExternalGraphRuntime's trace
+  // memo); a job with its own SystemConfig gets its own runtime.
+  ExternalGraphRuntime shared(config_);
+  std::vector<std::function<RunReport()>> tasks;
+  tasks.reserve(jobs.size());
+  for (const SweepJob& job : jobs) {
+    tasks.push_back([&shared, &job] {
+      if (!job.config) return shared.run(*job.graph, job.request);
+      ExternalGraphRuntime custom(*job.config);
+      return custom.run(*job.graph, job.request);
+    });
   }
-
-  ensure_pool();
-
-  // Each task builds its own runtime (a config copy) and writes its report
-  // into a pre-sized slot, so results land in insertion order no matter
-  // which worker finishes first.
-  std::vector<std::future<void>> futures;
-  futures.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    futures.push_back(pool_->submit([this, &jobs, &reports, i] {
-      const SweepJob& job = jobs[i];
-      ExternalGraphRuntime rt(job.config ? *job.config : config_);
-      reports[i] = rt.run(*job.graph, job.request);
-    }));
-  }
-
-  // Drain every future before rethrowing so no task still references the
-  // local vectors when an exception unwinds them.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  return reports;
+  return map_tasks(tasks);
 }
 
 std::vector<TraceRunResult> ExperimentRunner::run_traces(

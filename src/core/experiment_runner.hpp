@@ -3,10 +3,10 @@
 /// Fans independent experiment runs across a thread pool.
 ///
 /// Every ExternalGraphRuntime::run is deterministic in (SystemConfig,
-/// graph, RunRequest) and shares no mutable state with other runs, so an
-/// ablation sweep's configurations can execute on worker threads while the
-/// results come back in insertion order — bit-identical to the serial
-/// sweep, just faster.
+/// graph, RunRequest), and the only state runs on one runtime share is its
+/// locked trace memo, so an ablation sweep's configurations can execute on
+/// worker threads while the results come back in insertion order —
+/// bit-identical to the serial sweep, just faster.
 ///
 ///   core::ExperimentRunner runner(core::table4_system(), /*jobs=*/0);
 ///   std::vector<core::RunRequest> requests = ...;  // one per config
@@ -53,8 +53,10 @@ class ExperimentRunner {
   explicit ExperimentRunner(SystemConfig config, unsigned jobs = 0);
 
   /// Runs every job and returns reports in insertion order, regardless of
-  /// completion order. The first exception thrown by any run propagates
-  /// after all jobs finish or are drained.
+  /// completion order. Jobs without their own config share one runtime
+  /// for the call, so each distinct access trace is built once. The first
+  /// exception thrown by any run propagates after all jobs finish or are
+  /// drained.
   std::vector<RunReport> run_all(const std::vector<SweepJob>& jobs);
 
   /// Convenience: every request runs against the same graph under the

@@ -291,6 +291,52 @@ algo::AccessTrace ExternalGraphRuntime::make_trace(
   throw std::invalid_argument("unknown algorithm");
 }
 
+std::shared_future<algo::AccessTrace> ExternalGraphRuntime::memoized_trace(
+    const graph::CsrGraph& graph, Algorithm algorithm,
+    graph::VertexId source) {
+  const TraceKey key{graph.fingerprint(), graph.num_vertices(),
+                     graph.num_edges(), algorithm,
+                     source_independent(algorithm) ? 0 : source};
+  std::promise<algo::AccessTrace> promise;
+  std::shared_future<algo::AccessTrace> trace;
+  {
+    const std::lock_guard lock(memo_mutex_);
+    ++memo_clock_;
+    for (MemoEntry& entry : memo_) {
+      if (entry.key == key) {
+        entry.last_use = memo_clock_;
+        return entry.trace;
+      }
+    }
+    if (memo_.size() == kTraceMemoCapacity) {
+      memo_.erase(std::min_element(
+          memo_.begin(), memo_.end(),
+          [](const MemoEntry& a, const MemoEntry& b) {
+            return a.last_use < b.last_use;
+          }));
+    }
+    trace = promise.get_future().share();
+    memo_.push_back(MemoEntry{key, trace, memo_clock_});
+    ++traces_built_;
+  }
+  // Built outside the lock: other keys proceed meanwhile, and callers of
+  // this key wait on the shared future instead of building it again.
+  try {
+    promise.set_value(make_trace(graph, algorithm, source));
+  } catch (...) {
+    promise.set_exception(std::current_exception());
+    const std::lock_guard lock(memo_mutex_);
+    std::erase_if(memo_,
+                  [&key](const MemoEntry& e) { return e.key == key; });
+  }
+  return trace;
+}
+
+std::uint64_t ExternalGraphRuntime::traces_built() const {
+  const std::lock_guard lock(memo_mutex_);
+  return traces_built_;
+}
+
 RunReport ExternalGraphRuntime::run(const graph::CsrGraph& graph,
                                     const RunRequest& request) {
   return run_profiled(graph, request).report;
@@ -300,11 +346,11 @@ TraceRunResult ExternalGraphRuntime::run_profiled(
     const graph::CsrGraph& graph, const RunRequest& request) {
   const graph::VertexId source = request.source.value_or(
       algo::pick_source(graph, request.source_seed));
-  const algo::AccessTrace trace =
-      make_trace(graph, request.algorithm, source);
+  const std::shared_future<algo::AccessTrace> trace =
+      memoized_trace(graph, request.algorithm, source);
 
   TraceRunResult result =
-      run_trace(trace, request, graph.edge_list_bytes());
+      run_trace(trace.get(), request, graph.edge_list_bytes());
   result.report.source = source;
   result.report.graph_edges = graph.num_edges();
   return result;

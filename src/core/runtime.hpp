@@ -13,9 +13,26 @@
 ///   req.backend = core::BackendKind::kCxl;
 ///   req.cxl_added_latency = util::ps_from_us(1.0);
 ///   core::RunReport report = rt.run(graph, req);
+///
+/// Trace reuse: the access trace depends only on (graph, algorithm,
+/// source), never on the backend or the sweep knobs, so run() and
+/// run_profiled() build each distinct trace once and replay it for every
+/// later call on the same runtime — a latency sweep traverses the graph
+/// once per algorithm, not once per point. The memo holds at most
+/// kTraceMemoCapacity traces (least recently used evicted first), keyed
+/// on the graph's content fingerprint, its shape, the algorithm, and the
+/// source (ignored for source_independent algorithms). Reports are
+/// bit-identical to a fresh runtime's. run() and run_profiled() are safe
+/// to call from several threads on one runtime: the memo is locked, each
+/// trace is built by exactly one caller while concurrent callers for the
+/// same key wait for it, and every replay gets its own backend stack.
 
+#include <cstddef>
+#include <future>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "algo/trace.hpp"
 #include "core/system_config.hpp"
@@ -97,6 +114,9 @@ class ExternalGraphRuntime {
  public:
   explicit ExternalGraphRuntime(SystemConfig config);
 
+  /// At most this many access traces stay memoized per runtime.
+  static constexpr std::size_t kTraceMemoCapacity = 4;
+
   /// Runs one workload end to end. Deterministic in (graph, request).
   RunReport run(const graph::CsrGraph& graph, const RunRequest& request);
 
@@ -117,6 +137,7 @@ class ExternalGraphRuntime {
                            std::uint64_t edge_list_bytes) const;
 
   /// Runs the traversal only and returns its access trace (no simulation).
+  /// A pure builder: it neither reads nor fills the trace memo.
   algo::AccessTrace make_trace(const graph::CsrGraph& graph,
                                Algorithm algorithm,
                                graph::VertexId source) const;
@@ -135,6 +156,9 @@ class ExternalGraphRuntime {
 
   const SystemConfig& config() const noexcept { return config_; }
 
+  /// Traces run() / run_profiled() have built so far (memo misses).
+  std::uint64_t traces_built() const;
+
   /// Attaches a telemetry sink (nullptr detaches). When enabled, each
   /// run_trace records per-superstep spans, a live simulator tap with
   /// link/heat/outstanding probes, and device state-model transitions —
@@ -146,8 +170,34 @@ class ExternalGraphRuntime {
   }
 
  private:
+  struct TraceKey {
+    std::uint64_t fingerprint = 0;
+    std::uint64_t num_vertices = 0;
+    std::uint64_t num_edges = 0;
+    Algorithm algorithm = Algorithm::kBfs;
+    graph::VertexId source = 0;
+    bool operator==(const TraceKey&) const = default;
+  };
+  struct MemoEntry {
+    TraceKey key;
+    /// Shared with every caller replaying it, so eviction never frees a
+    /// trace still in use; not ready while its builder is still running.
+    std::shared_future<algo::AccessTrace> trace;
+    std::uint64_t last_use = 0;
+  };
+
+  /// The memoized trace for (graph, algorithm, source), built on a miss.
+  std::shared_future<algo::AccessTrace> memoized_trace(
+      const graph::CsrGraph& graph, Algorithm algorithm,
+      graph::VertexId source);
+
   SystemConfig config_;
   obs::Telemetry* telemetry_ = nullptr;
+
+  mutable std::mutex memo_mutex_;
+  std::vector<MemoEntry> memo_;  // guarded by memo_mutex_
+  std::uint64_t memo_clock_ = 0;
+  std::uint64_t traces_built_ = 0;
 };
 
 }  // namespace cxlgraph::core

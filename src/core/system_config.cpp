@@ -64,6 +64,10 @@ Algorithm algorithm_from_name(const std::string& name) {
   throw std::invalid_argument("unknown algorithm: " + name);
 }
 
+bool source_independent(Algorithm algorithm) {
+  return algorithm == Algorithm::kCc || algorithm == Algorithm::kPagerankScan;
+}
+
 SystemConfig table3_system() {
   SystemConfig cfg;
   cfg.gpu_link_gen = device::PcieGen::kGen4;  // RTX A5000, PCIe 4.0 x16

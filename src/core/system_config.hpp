@@ -48,6 +48,11 @@ std::string to_string(Algorithm algorithm);
 BackendKind backend_from_name(const std::string& name);
 Algorithm algorithm_from_name(const std::string& name);
 
+/// True when the algorithm's access trace ignores the traversal source
+/// (cc labels every component; pagerank-scan sweeps the whole edge list),
+/// so any two sources yield the same trace.
+bool source_independent(Algorithm algorithm);
+
 struct SystemConfig {
   device::PcieGen gpu_link_gen = device::PcieGen::kGen4;
   gpusim::GpuParams gpu;

@@ -1,8 +1,40 @@
 #include "graph/csr.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace cxlgraph::graph {
+
+namespace {
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+/// One FNV-1a-style multiply-xor step.
+constexpr std::uint64_t mix(std::uint64_t h, std::uint64_t x) {
+  return (h ^ x) * 0x100000001b3ULL;
+}
+
+/// One pass over shape and content: negligible next to building the
+/// graph, and any structural change alters the result.
+std::uint64_t content_hash(const std::vector<EdgeIndex>& offsets,
+                           const std::vector<VertexId>& edges,
+                           const std::vector<Weight>& weights) {
+  std::uint64_t h = kFnvBasis;
+  h = mix(h, offsets.empty() ? 0 : offsets.size() - 1);
+  h = mix(h, edges.size());
+  h = mix(h, weights.empty() ? 0 : 1);
+  for (const EdgeIndex o : offsets) h = mix(h, o);
+  for (const VertexId e : edges) h = mix(h, e);
+  for (const Weight w : weights) h = mix(h, w);
+  return h;
+}
+
+/// content_hash of the empty graph, usable during static initialization.
+constexpr std::uint64_t kEmptyFingerprint = mix(mix(mix(kFnvBasis, 0), 0), 0);
+
+}  // namespace
+
+CsrGraph::CsrGraph() : fingerprint_(kEmptyFingerprint) {}
 
 CsrGraph::CsrGraph(std::vector<EdgeIndex> offsets,
                    std::vector<VertexId> edges, std::vector<Weight> weights)
@@ -13,6 +45,21 @@ CsrGraph::CsrGraph(std::vector<EdgeIndex> offsets,
   if (!problem.empty()) {
     throw std::invalid_argument("CsrGraph: " + problem);
   }
+  fingerprint_ = content_hash(offsets_, edges_, weights_);
+}
+
+CsrGraph::CsrGraph(CsrGraph&& other) noexcept
+    : offsets_(std::exchange(other.offsets_, {})),
+      edges_(std::exchange(other.edges_, {})),
+      weights_(std::exchange(other.weights_, {})),
+      fingerprint_(std::exchange(other.fingerprint_, kEmptyFingerprint)) {}
+
+CsrGraph& CsrGraph::operator=(CsrGraph&& other) noexcept {
+  offsets_ = std::exchange(other.offsets_, {});
+  edges_ = std::exchange(other.edges_, {});
+  weights_ = std::exchange(other.weights_, {});
+  fingerprint_ = std::exchange(other.fingerprint_, kEmptyFingerprint);
+  return *this;
 }
 
 std::string CsrGraph::validate() const {

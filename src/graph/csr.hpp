@@ -25,7 +25,8 @@ inline constexpr std::uint64_t kBytesPerEdge = 8;
 /// Immutable CSR graph. Construct via GraphBuilder or the generators.
 class CsrGraph {
  public:
-  CsrGraph() = default;
+  /// The empty graph.
+  CsrGraph();
 
   /// Takes ownership of prebuilt arrays. offsets.size() must be
   /// num_vertices + 1, offsets.front() == 0, offsets.back() == edges.size(),
@@ -33,6 +34,13 @@ class CsrGraph {
   /// or have one entry per edge.
   CsrGraph(std::vector<EdgeIndex> offsets, std::vector<VertexId> edges,
            std::vector<Weight> weights = {});
+
+  CsrGraph(const CsrGraph&) = default;
+  CsrGraph& operator=(const CsrGraph&) = default;
+  /// Moves leave the source the empty graph, fingerprint included, so a
+  /// moved-from graph never carries a stale fingerprint.
+  CsrGraph(CsrGraph&& other) noexcept;
+  CsrGraph& operator=(CsrGraph&& other) noexcept;
 
   std::uint64_t num_vertices() const noexcept {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
@@ -71,6 +79,12 @@ class CsrGraph {
   const std::vector<VertexId>& edges() const noexcept { return edges_; }
   const std::vector<Weight>& weights() const noexcept { return weights_; }
 
+  /// Content hash over the shape, offsets, edges and weights, computed
+  /// once at construction (the graph is immutable). Graphs with equal
+  /// content have equal fingerprints wherever they live in memory, so
+  /// caches key on this instead of the graph's address.
+  std::uint64_t fingerprint() const noexcept { return fingerprint_; }
+
   /// Verifies structural invariants; returns an empty string when valid,
   /// otherwise a description of the first violation found.
   std::string validate() const;
@@ -79,6 +93,7 @@ class CsrGraph {
   std::vector<EdgeIndex> offsets_;  // size n+1
   std::vector<VertexId> edges_;
   std::vector<Weight> weights_;  // empty or size num_edges()
+  std::uint64_t fingerprint_;
 };
 
 /// Degree statistics in the form the paper's Table 1 reports.

@@ -11,27 +11,6 @@
 
 namespace cxlgraph::serve {
 
-namespace {
-
-/// Content fingerprint for profile-cache invalidation: a full FNV-style
-/// pass over shape, offsets, edges, and weights, so *any* structural
-/// change to the graph misses the cache. One multiply-xor per element —
-/// negligible next to a single query profile's traversal + replay.
-std::uint64_t graph_fingerprint(const graph::CsrGraph& g) {
-  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t x) { h = (h ^ x) * kPrime; };
-  mix(g.num_vertices());
-  mix(g.num_edges());
-  mix(g.weighted() ? 1 : 0);
-  for (const graph::EdgeIndex o : g.offsets()) mix(o);
-  for (const graph::VertexId e : g.edges()) mix(e);
-  for (const graph::Weight w : g.weights()) mix(w);
-  return h;
-}
-
-}  // namespace
-
 std::string to_string(SchedulingPolicy policy) {
   switch (policy) {
     case SchedulingPolicy::kFifo:
@@ -149,7 +128,7 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
   // scheduling. Profiles are cached across serve() calls (offered-load
   // sweeps and policy comparisons reuse them) until the graph changes.
   // -------------------------------------------------------------------
-  const std::uint64_t fingerprint = graph_fingerprint(graph);
+  const std::uint64_t fingerprint = graph.fingerprint();
   if (cached_graph_fingerprint_ != fingerprint) {
     profile_cache_.clear();
     cached_graph_fingerprint_ = fingerprint;

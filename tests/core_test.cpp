@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <thread>
+
+#include "algo/bfs.hpp"
 #include "core/experiment.hpp"
 #include "core/experiment_runner.hpp"
 #include "core/runtime.hpp"
@@ -14,6 +18,45 @@ graph::CsrGraph test_graph() {
   graph::GeneratorOptions opts;
   opts.max_weight = 63;
   return graph::generate_uniform(1 << 12, 16.0, opts);
+}
+
+constexpr Algorithm kAllAlgorithms[] = {
+    Algorithm::kBfs,          Algorithm::kSssp,      Algorithm::kCc,
+    Algorithm::kPagerankScan, Algorithm::kBfsDirOpt, Algorithm::kSsspDelta,
+    Algorithm::kBfsWriteback};
+
+/// Every report field, compared exactly (doubles bit for bit).
+void expect_same_report(const RunReport& a, const RunReport& b) {
+  EXPECT_EQ(a.algorithm, b.algorithm);
+  EXPECT_EQ(a.backend, b.backend);
+  EXPECT_EQ(a.access_method, b.access_method);
+  EXPECT_EQ(a.source, b.source);
+  EXPECT_EQ(a.runtime_sec, b.runtime_sec);
+  EXPECT_EQ(a.throughput_mbps, b.throughput_mbps);
+  EXPECT_EQ(a.raf, b.raf);
+  EXPECT_EQ(a.avg_transfer_bytes, b.avg_transfer_bytes);
+  EXPECT_EQ(a.used_bytes, b.used_bytes);
+  EXPECT_EQ(a.fetched_bytes, b.fetched_bytes);
+  EXPECT_EQ(a.transactions, b.transactions);
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.observed_read_latency_us, b.observed_read_latency_us);
+  EXPECT_EQ(a.avg_outstanding_reads, b.avg_outstanding_reads);
+  EXPECT_EQ(a.link_return_busy_sec, b.link_return_busy_sec);
+  EXPECT_EQ(a.link_upstream_busy_sec, b.link_upstream_busy_sec);
+  EXPECT_EQ(a.written_bytes, b.written_bytes);
+  EXPECT_EQ(a.write_transactions, b.write_transactions);
+  EXPECT_EQ(a.rmw_reads, b.rmw_reads);
+  EXPECT_EQ(a.frontier_vertices, b.frontier_vertices);
+  EXPECT_EQ(a.graph_edges, b.graph_edges);
+}
+
+RunRequest make_request(Algorithm algorithm, BackendKind backend,
+                        std::optional<double> added_us = std::nullopt) {
+  RunRequest req;
+  req.algorithm = algorithm;
+  req.backend = backend;
+  if (added_us) req.cxl_added_latency = util::ps_from_us(*added_us);
+  return req;
 }
 
 TEST(SystemConfig, NamesRoundTrip) {
@@ -158,6 +201,200 @@ TEST(Runtime, MakeTraceMatchesAlgorithms) {
   EXPECT_EQ(t.total_sublist_bytes, g.edge_list_bytes());
 }
 
+// ---------------------------------------------------------- trace memo ----
+
+// The memo keys source-independent algorithms on source 0; this pins the
+// property that makes that sound, independently of the memo.
+TEST(SourceIndependent, PredicateMatchesMakeTrace) {
+  const ExternalGraphRuntime rt(table3_system());
+  for (const graph::DatasetId dataset :
+       {graph::DatasetId::kUrand, graph::DatasetId::kKron}) {
+    const graph::CsrGraph g = graph::make_dataset(dataset, 10, true, 7, 1);
+    std::vector<graph::VertexId> sources;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      sources.push_back(algo::pick_source(g, seed));
+    }
+    for (const Algorithm algorithm : kAllAlgorithms) {
+      const algo::AccessTrace first = rt.make_trace(g, algorithm, sources[0]);
+      bool any_differs = false;
+      for (std::size_t i = 1; i < sources.size(); ++i) {
+        if (!(rt.make_trace(g, algorithm, sources[i]) == first)) {
+          any_differs = true;
+        }
+      }
+      EXPECT_EQ(any_differs, !source_independent(algorithm))
+          << to_string(algorithm) << " on " << static_cast<int>(dataset);
+    }
+  }
+}
+
+TEST(TraceMemo, RepeatedRunsMatchFreshRuntime) {
+  const graph::CsrGraph g = test_graph();
+  const std::vector<RunRequest> requests = {
+      make_request(Algorithm::kBfs, BackendKind::kHostDram),
+      make_request(Algorithm::kBfs, BackendKind::kCxl, 1.0),
+      make_request(Algorithm::kPagerankScan, BackendKind::kXlfdd),
+      make_request(Algorithm::kSsspDelta, BackendKind::kCxl, 2.0),
+      make_request(Algorithm::kCc, BackendKind::kBamNvme),
+      make_request(Algorithm::kBfsWriteback, BackendKind::kXlfdd),
+  };
+  ExternalGraphRuntime memo(table3_system());
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const RunRequest& req : requests) {
+      ExternalGraphRuntime fresh(table3_system());
+      const TraceRunResult expected = fresh.run_profiled(g, req);
+      const TraceRunResult got = memo.run_profiled(g, req);
+      expect_same_report(got.report, expected.report);
+      EXPECT_EQ(got.step_durations, expected.step_durations);
+      EXPECT_EQ(got.step_fetched_bytes, expected.step_fetched_bytes);
+      expect_same_report(memo.run(g, req), expected.report);
+    }
+  }
+}
+
+TEST(TraceMemo, LatencySweepBuildsOneTrace) {
+  const graph::CsrGraph g = test_graph();
+  ExternalGraphRuntime rt(table4_system());
+  EXPECT_EQ(rt.traces_built(), 0u);
+  for (const double us : {0.0, 1.0, 2.0, 4.0}) {
+    rt.run(g, make_request(Algorithm::kBfs, BackendKind::kCxl, us));
+  }
+  EXPECT_EQ(rt.traces_built(), 1u);
+  // make_trace is the pure builder: it neither fills nor reads the memo.
+  rt.make_trace(g, Algorithm::kSssp, 0);
+  EXPECT_EQ(rt.traces_built(), 1u);
+}
+
+TEST(TraceMemo, SourceIndependentAlgorithmsShareOneTrace) {
+  const graph::CsrGraph g = test_graph();
+  ExternalGraphRuntime rt(table4_system());
+  RunRequest a = make_request(Algorithm::kCc, BackendKind::kCxl);
+  a.source = 3;
+  RunRequest b = a;
+  b.source = 9;
+  const RunReport ra = rt.run(g, a);
+  const RunReport rb = rt.run(g, b);
+  EXPECT_EQ(rt.traces_built(), 1u);
+  EXPECT_EQ(ra.source, 3u);
+  EXPECT_EQ(rb.source, 9u);
+  EXPECT_EQ(ra.runtime_sec, rb.runtime_sec);
+  EXPECT_EQ(ra.fetched_bytes, rb.fetched_bytes);
+
+  // BFS depends on its source: two sources, two traces.
+  RunRequest c = make_request(Algorithm::kBfs, BackendKind::kCxl);
+  c.source = 3;
+  RunRequest d = c;
+  d.source = 9;
+  rt.run(g, c);
+  rt.run(g, d);
+  EXPECT_EQ(rt.traces_built(), 3u);
+}
+
+TEST(TraceMemo, SameShapeDifferentContentMisses) {
+  graph::GeneratorOptions opts;
+  opts.clean = false;  // no dedup: the edge count is fixed by the shape
+  opts.seed = 1;
+  const graph::CsrGraph g1 = graph::generate_uniform(1 << 10, 8.0, opts);
+  opts.seed = 2;
+  const graph::CsrGraph g2 = graph::generate_uniform(1 << 10, 8.0, opts);
+  ASSERT_EQ(g1.num_vertices(), g2.num_vertices());
+  ASSERT_EQ(g1.num_edges(), g2.num_edges());
+  ASSERT_NE(g1.fingerprint(), g2.fingerprint());
+
+  RunRequest req = make_request(Algorithm::kBfs, BackendKind::kHostDram);
+  req.source = 5;
+  ExternalGraphRuntime rt(table4_system());
+  rt.run(g1, req);
+  const RunReport second = rt.run(g2, req);
+  EXPECT_EQ(rt.traces_built(), 2u);
+  ExternalGraphRuntime fresh(table4_system());
+  expect_same_report(second, fresh.run(g2, req));
+
+  // A copy has the same content, so it hits wherever it lives.
+  const graph::CsrGraph copy = g2;
+  rt.run(copy, req);
+  EXPECT_EQ(rt.traces_built(), 2u);
+}
+
+TEST(TraceMemo, EvictionKeepsResultsIdentical) {
+  const graph::CsrGraph g = test_graph();
+  constexpr std::size_t kKeys = ExternalGraphRuntime::kTraceMemoCapacity + 2;
+  std::vector<RunRequest> requests;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    RunRequest req = make_request(Algorithm::kBfs, BackendKind::kHostDram);
+    req.source = 10 + i;
+    requests.push_back(req);
+  }
+  ExternalGraphRuntime rt(table4_system());
+  std::vector<RunReport> expected;
+  for (const RunRequest& req : requests) {
+    expected.push_back(ExternalGraphRuntime(table4_system()).run(g, req));
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < kKeys; ++i) {
+      expect_same_report(rt.run(g, requests[i]), expected[i]);
+    }
+  }
+  // Cycling through more keys than the capacity misses every time (LRU)...
+  EXPECT_EQ(rt.traces_built(), 2 * kKeys);
+  // ...while the most recent key is still resident.
+  expect_same_report(rt.run(g, requests.back()), expected.back());
+  EXPECT_EQ(rt.traces_built(), 2 * kKeys);
+}
+
+TEST(TraceMemo, FailedBuildIsNotCached) {
+  const graph::CsrGraph g = test_graph();
+  ExternalGraphRuntime rt(table4_system());
+  RunRequest bad = make_request(Algorithm::kBfs, BackendKind::kHostDram);
+  bad.source = g.num_vertices();  // out of range
+  EXPECT_THROW(rt.run(g, bad), std::out_of_range);
+  EXPECT_THROW(rt.run(g, bad), std::out_of_range);
+  EXPECT_EQ(rt.traces_built(), 2u);
+  RunRequest good = bad;
+  good.source = 1;
+  expect_same_report(rt.run(g, good),
+                     ExternalGraphRuntime(table4_system()).run(g, good));
+}
+
+TEST(TraceMemo, ConcurrentRunsMatchSerial) {
+  const graph::CsrGraph g = test_graph();
+  std::vector<RunRequest> requests;
+  for (const Algorithm algorithm :
+       {Algorithm::kBfs, Algorithm::kCc, Algorithm::kPagerankScan,
+        Algorithm::kSsspDelta}) {
+    requests.push_back(make_request(algorithm, BackendKind::kHostDram));
+    requests.push_back(make_request(algorithm, BackendKind::kCxl, 2.0));
+  }
+  std::vector<RunReport> expected;
+  for (const RunRequest& req : requests) {
+    expected.push_back(ExternalGraphRuntime(table4_system()).run(g, req));
+  }
+
+  constexpr std::size_t kThreads = 4;
+  ExternalGraphRuntime shared(table4_system());
+  std::vector<std::vector<RunReport>> got(
+      kThreads, std::vector<RunReport>(requests.size()));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the requests from a different offset, so the
+      // same key is requested concurrently and in different orders.
+      for (std::size_t k = 0; k < requests.size(); ++k) {
+        const std::size_t i = (k + 2 * t) % requests.size();
+        got[t][i] = shared.run(g, requests[i]);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      expect_same_report(got[t][i], expected[i]);
+    }
+  }
+  // Four distinct traces fit the memo, and each is built exactly once.
+  EXPECT_EQ(shared.traces_built(), 4u);
+}
+
 // --------------------------------------------------- experiment runner ----
 
 TEST(ExperimentRunner, SerialModeCreatesNoPool) {
@@ -253,6 +490,27 @@ TEST(ExperimentRunner, RunTracesMatchesRun) {
     EXPECT_EQ(util::sec_from_ps(total), expected.runtime_sec);
   }
   EXPECT_THROW(runner.run_traces({TraceJob{}}), std::invalid_argument);
+}
+
+TEST(ExperimentRunner, ParallelLatencySweepMatchesSerial) {
+  const graph::CsrGraph g = test_graph();
+  std::vector<RunRequest> requests;
+  for (const Algorithm algorithm :
+       {Algorithm::kBfs, Algorithm::kSsspDelta, Algorithm::kPagerankScan}) {
+    requests.push_back(make_request(algorithm, BackendKind::kHostDram));
+    for (const double us : {0.0, 1.0, 2.0, 4.0}) {
+      requests.push_back(make_request(algorithm, BackendKind::kCxl, us));
+    }
+  }
+  ExperimentRunner serial(table4_system(), /*jobs=*/1);
+  ExperimentRunner parallel(table4_system(), /*jobs=*/4);
+  const std::vector<RunReport> a = serial.run_all(g, requests);
+  const std::vector<RunReport> b = parallel.run_all(g, requests);
+  ASSERT_EQ(a.size(), requests.size());
+  ASSERT_EQ(b.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    expect_same_report(a[i], b[i]);
+  }
 }
 
 TEST(ExperimentRunner, MapTasksPreservesOrderAndPropagates) {

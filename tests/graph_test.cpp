@@ -20,6 +20,35 @@ TEST(Csr, EmptyGraph) {
   EXPECT_TRUE(g.validate().empty());
 }
 
+TEST(Csr, FingerprintFollowsContent) {
+  const CsrGraph g({0, 2, 3, 3}, {1, 2, 2}, {4, 5, 6});
+  const std::uint64_t fp = g.fingerprint();
+
+  CsrGraph copy = g;
+  EXPECT_EQ(copy.fingerprint(), fp);
+  CsrGraph assigned;
+  assigned = g;
+  EXPECT_EQ(assigned.fingerprint(), fp);
+  CsrGraph moved = std::move(copy);
+  EXPECT_EQ(moved.fingerprint(), fp);
+  CsrGraph move_assigned;
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned.fingerprint(), fp);
+  // A moved-from graph is the empty graph, fingerprint included.
+  EXPECT_EQ(moved.num_vertices(), 0u);
+  EXPECT_EQ(moved.fingerprint(), CsrGraph().fingerprint());
+
+  // One edge target, one weight, or the weightedness alone changes it.
+  EXPECT_NE(CsrGraph({0, 2, 3, 3}, {1, 2, 0}, {4, 5, 6}).fingerprint(), fp);
+  EXPECT_NE(CsrGraph({0, 2, 3, 3}, {1, 2, 2}, {4, 5, 7}).fingerprint(), fp);
+  EXPECT_NE(CsrGraph({0, 2, 3, 3}, {1, 2, 2}).fingerprint(), fp);
+
+  // The empty graph has one stable value however it is made.
+  EXPECT_EQ(CsrGraph().fingerprint(), CsrGraph().fingerprint());
+  EXPECT_EQ(CsrGraph({}, {}).fingerprint(), CsrGraph().fingerprint());
+  EXPECT_NE(CsrGraph().fingerprint(), fp);
+}
+
 TEST(Csr, BasicAccessors) {
   // 0 -> {1, 2}, 1 -> {2}, 2 -> {}
   CsrGraph g({0, 2, 3, 3}, {1, 2, 2});
