@@ -79,6 +79,34 @@ inline double probe_capacity_qps(serve::QueryServer& server,
   return 1.0e6 / probe.service_us.mean;
 }
 
+/// Record-level identity of two serve reports, fault ledger included:
+/// the comparator behind the serving benches' identity gates (solo vs
+/// one-replica fleet, zero-rate fault plan vs none, --jobs 1 vs N).
+inline bool reports_bit_identical(const serve::ServeReport& a,
+                                  const serve::ServeReport& b) {
+  if (a.queries.size() != b.queries.size()) return false;
+  for (std::size_t i = 0; i < a.queries.size(); ++i) {
+    const serve::QueryRecord& x = a.queries[i];
+    const serve::QueryRecord& y = b.queries[i];
+    if (x.arrival != y.arrival || x.first_service != y.first_service ||
+        x.completion != y.completion || x.service_ps != y.service_ps ||
+        x.queue_ps != y.queue_ps || x.service_bytes != y.service_bytes ||
+        x.replica != y.replica || x.shed != y.shed ||
+        x.slo_violated != y.slo_violated || x.retries != y.retries ||
+        x.lost_ps != y.lost_ps || x.lost_bytes != y.lost_bytes ||
+        x.failed != y.failed) {
+      return false;
+    }
+  }
+  return a.completed == b.completed && a.shed == b.shed &&
+         a.failed == b.failed && a.link_bytes == b.link_bytes &&
+         a.query_bytes == b.query_bytes && a.lost_bytes == b.lost_bytes &&
+         a.query_retries == b.query_retries &&
+         a.makespan_sec == b.makespan_sec &&
+         a.latency_us.p99 == b.latency_us.p99 &&
+         a.utilization == b.utilization;
+}
+
 /// Standard bench body: banner, run, emit.
 inline int run_bench(
     int argc, char** argv, const std::string& title,

@@ -90,32 +90,6 @@ fault::FaultSpec make_plan(const FaultLevel& level, double horizon_sec) {
   return spec;
 }
 
-/// Record-level identity including the fault ledger — the comparator the
-/// zero-rate and cross-jobs smoke gates run on.
-bool reports_bit_identical(const serve::ServeReport& a,
-                           const serve::ServeReport& b) {
-  if (a.queries.size() != b.queries.size()) return false;
-  for (std::size_t i = 0; i < a.queries.size(); ++i) {
-    const serve::QueryRecord& x = a.queries[i];
-    const serve::QueryRecord& y = b.queries[i];
-    if (x.arrival != y.arrival || x.first_service != y.first_service ||
-        x.completion != y.completion || x.service_ps != y.service_ps ||
-        x.ride_ps != y.ride_ps || x.queue_ps != y.queue_ps ||
-        x.service_bytes != y.service_bytes || x.replica != y.replica ||
-        x.shed != y.shed || x.slo_violated != y.slo_violated ||
-        x.retries != y.retries || x.lost_ps != y.lost_ps ||
-        x.lost_bytes != y.lost_bytes || x.failed != y.failed) {
-      return false;
-    }
-  }
-  return a.completed == b.completed && a.shed == b.shed &&
-         a.failed == b.failed && a.link_bytes == b.link_bytes &&
-         a.query_bytes == b.query_bytes && a.lost_bytes == b.lost_bytes &&
-         a.query_retries == b.query_retries &&
-         a.makespan_sec == b.makespan_sec &&
-         a.latency_us.p99 == b.latency_us.p99;
-}
-
 int run_faults(int argc, char** argv) {
   util::CliParser cli;
   cli.add_option("dataset", "urand | kron | friendster", "urand");
@@ -309,7 +283,7 @@ int run_faults(int argc, char** argv) {
     zero.fleet.faults.io_error_rate = 0.0;
     const serve::FleetReport plain = fleet.serve(g, req);
     const serve::FleetReport zeroed = fleet.serve(g, zero);
-    check(reports_bit_identical(plain.serve, zeroed.serve),
+    check(bench::reports_bit_identical(plain.serve, zeroed.serve),
           "zero-rate fault plan is not record-identical to no plan");
 
     // The faulted schedule is a pure function of the request: profiling
@@ -319,7 +293,7 @@ int run_faults(int argc, char** argv) {
     serve::FleetServer fleet4(core::table3_system(), 4);
     const serve::FleetReport r1 = fleet1.serve(g, req);
     const serve::FleetReport r4 = fleet4.serve(g, req);
-    check(reports_bit_identical(r1.serve, r4.serve),
+    check(bench::reports_bit_identical(r1.serve, r4.serve),
           "faulted run differs across profiling thread counts");
     check(r1.crashes == r4.crashes && r1.restarts == r4.restarts &&
               r1.io_error_retries == r4.io_error_retries,

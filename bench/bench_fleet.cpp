@@ -66,27 +66,6 @@ serve::WorkloadSpec make_spec(std::uint64_t seed, std::uint32_t queries,
   return spec;
 }
 
-bool reports_bit_identical(const serve::ServeReport& a,
-                           const serve::ServeReport& b) {
-  if (a.queries.size() != b.queries.size()) return false;
-  for (std::size_t i = 0; i < a.queries.size(); ++i) {
-    const serve::QueryRecord& x = a.queries[i];
-    const serve::QueryRecord& y = b.queries[i];
-    if (x.arrival != y.arrival || x.first_service != y.first_service ||
-        x.completion != y.completion || x.service_ps != y.service_ps ||
-        x.ride_ps != y.ride_ps || x.queue_ps != y.queue_ps ||
-        x.service_bytes != y.service_bytes || x.replica != y.replica ||
-        x.shed != y.shed || x.slo_violated != y.slo_violated) {
-      return false;
-    }
-  }
-  return a.completed == b.completed && a.shed == b.shed &&
-         a.link_bytes == b.link_bytes && a.query_bytes == b.query_bytes &&
-         a.makespan_sec == b.makespan_sec &&
-         a.latency_us.p99 == b.latency_us.p99 &&
-         a.utilization == b.utilization;
-}
-
 int run_fleet(int argc, char** argv) {
   util::CliParser cli;
   cli.add_option("dataset", "urand | kron | friendster", "urand");
@@ -192,7 +171,7 @@ int run_fleet(int argc, char** argv) {
     sreq.config = freq.fleet.serve;
     const serve::ServeReport solo = probe_server.serve(g, sreq);
     const serve::FleetReport one = fleet.serve(g, freq);
-    check(reports_bit_identical(solo, one.serve),
+    check(bench::reports_bit_identical(solo, one.serve),
           "replicas=1 fleet is not bit-identical to QueryServer::serve");
   }
 

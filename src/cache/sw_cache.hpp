@@ -27,13 +27,6 @@ struct SwCacheParams {
 struct SwCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-
-  double hit_rate() const noexcept {
-    const std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(hits) /
-                            static_cast<double>(total);
-  }
 };
 
 class SwCache {

@@ -458,8 +458,9 @@ ClusterReport ClusterRuntime::run(const graph::CsrGraph& graph,
         to_string(algorithm));
   }
 
-  const VertexId source = request.run.source.value_or(
-      algo::pick_source(graph, request.run.source_seed));
+  const VertexId source =
+      request.run.source ? *request.run.source
+                         : algo::pick_source(graph, request.run.source_seed);
   const std::uint32_t P = request.num_shards;
 
   partition::Partition part = partition::make_partition(

@@ -89,8 +89,6 @@ RunStack build_stack(const SystemConfig& cfg, const RunRequest& req,
     case BackendKind::kXlfdd: {
       device::StorageDriveParams sp = device::xlfdd_drive_params();
       sp.thermal = cfg.storage_thermal;
-      sp.endurance = cfg.storage_endurance;
-      sp.qd_curve = cfg.storage_qd_curve;
       s.storage_array = std::make_unique<device::StorageArray>(
           s.sim, *s.link, sp, cfg.xlfdd_drives, device::kXlfddStripeBytes);
       access::XlfddDirectParams xp = cfg.xlfdd;
@@ -104,8 +102,6 @@ RunStack build_stack(const SystemConfig& cfg, const RunRequest& req,
     case BackendKind::kBamNvme: {
       device::StorageDriveParams sp = device::nvme_drive_params();
       sp.thermal = cfg.storage_thermal;
-      sp.endurance = cfg.storage_endurance;
-      sp.qd_curve = cfg.storage_qd_curve;
       s.storage_array = std::make_unique<device::StorageArray>(
           s.sim, *s.link, sp, cfg.nvme_drives, device::kNvmeStripeBytes);
       access::BamParams bp = cfg.bam;
@@ -344,8 +340,9 @@ RunReport ExternalGraphRuntime::run(const graph::CsrGraph& graph,
 
 TraceRunResult ExternalGraphRuntime::run_profiled(
     const graph::CsrGraph& graph, const RunRequest& request) {
-  const graph::VertexId source = request.source.value_or(
-      algo::pick_source(graph, request.source_seed));
+  const graph::VertexId source =
+      request.source ? *request.source
+                     : algo::pick_source(graph, request.source_seed);
   const std::shared_future<algo::AccessTrace> trace =
       memoized_trace(graph, request.algorithm, source);
 

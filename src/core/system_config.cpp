@@ -68,6 +68,22 @@ bool source_independent(Algorithm algorithm) {
   return algorithm == Algorithm::kCc || algorithm == Algorithm::kPagerankScan;
 }
 
+const device::ThermalParams& stack_thermal(const SystemConfig& config,
+                                           BackendKind backend) noexcept {
+  static const device::ThermalParams kNoThermal{};
+  switch (backend) {
+    case BackendKind::kCxl:
+    case BackendKind::kTieredDramCxl:
+      return config.cxl.thermal;
+    case BackendKind::kXlfdd:
+    case BackendKind::kBamNvme:
+    case BackendKind::kUvm:
+      return config.storage_thermal;
+    default:
+      return kNoThermal;
+  }
+}
+
 SystemConfig table3_system() {
   SystemConfig cfg;
   cfg.gpu_link_gen = device::PcieGen::kGen4;  // RTX A5000, PCIe 4.0 x16

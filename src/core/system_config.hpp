@@ -88,13 +88,11 @@ struct SystemConfig {
   /// prefix holds the hottest sublists).
   double tier_fast_fraction = 0.25;
 
-  /// State-dependent storage service (CXLSSDEval-shaped; state_model.hpp),
+  /// Storage thermal throttling (CXLSSDEval-shaped; state_model.hpp),
   /// applied on top of the XLFDD/NVMe presets by build_stack. The CXL
-  /// pool's thermal model lives in `cxl.thermal`. All default OFF so the
+  /// pool's thermal model lives in `cxl.thermal`. Default OFF so the
   /// default path stays bit-identical to the time-invariant baseline.
   device::ThermalParams storage_thermal;
-  device::EnduranceParams storage_endurance;
-  device::QdCurveParams storage_qd_curve;
 
   /// Sec. 5 ("future GPUs may implement the CXL interface"): when true,
   /// CXL runs bypass the CPU translation hop — the link's per-direction
@@ -103,6 +101,13 @@ struct SystemConfig {
   bool gpu_direct_cxl = false;
   util::SimTime direct_cxl_saving = util::ps_from_ns(150);
 };
+
+/// The thermal model of a serving stack on `backend`: CXL-backed stacks
+/// heat the CXL channel (`cxl.thermal`), storage-backed stacks the drives
+/// (`storage_thermal`); host DRAM has no throttle model (a disabled
+/// default keeps it cold).
+const device::ThermalParams& stack_thermal(const SystemConfig& config,
+                                           BackendKind backend) noexcept;
 
 /// The Table-3 testbed: PCIe Gen4 x16 GPU link, 16 XLFDDs, 4 NVMe SSDs,
 /// host DRAM for the EMOGI baseline.

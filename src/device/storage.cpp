@@ -19,10 +19,6 @@ StorageDrive::StorageDrive(Simulator& sim, PcieLink& link,
     throw std::invalid_argument("StorageDrive: bad parameters");
   }
   validate(params.thermal);
-  validate(params.endurance);
-  validate(params.qd_curve);
-  state_dependent_ = params.thermal.enabled || params.endurance.enabled ||
-                     params.qd_curve.enabled;
   listener_ = sim_.add_listener(this, &StorageDrive::on_event);
 }
 
@@ -98,24 +94,17 @@ void StorageDrive::finish(std::uint32_t slot) {
   sim_.dispatch(done);
 }
 
-/// Service-time stretch from the enabled state models for a transfer of
-/// `bytes` observed at `now`. Only called when state_dependent_ is set, so
-/// the default path never touches floating point beyond the baseline math.
+/// Service-time stretch from the thermal model for a transfer of `bytes`
+/// observed at `now`. Only called with the model enabled, so the
+/// default path never touches floating point beyond the baseline math.
 double StorageDrive::service_stretch(SimTime now, std::uint32_t bytes) {
-  double stretch = 1.0;
-  if (params_.qd_curve.enabled) {
-    stretch /= qd_scale(params_.qd_curve, outstanding_);
+  const double mult = thermal_.charge(params_.thermal, now, bytes);
+  if (mult > 1.0) ++stats_.throttled_requests;
+  stats_.peak_heat = thermal_.peak_heat();
+  if (state_trace_.bound()) {
+    state_trace_.on_thermal(now, thermal_.throttled());
   }
-  if (params_.thermal.enabled) {
-    const double mult = thermal_.charge(params_.thermal, now, bytes);
-    if (mult > 1.0) ++stats_.throttled_requests;
-    stretch *= mult;
-    stats_.peak_heat = thermal_.peak_heat();
-    if (state_trace_.bound()) {
-      state_trace_.on_thermal(now, thermal_.throttled());
-    }
-  }
-  return stretch;
+  return mult;
 }
 
 void StorageDrive::start(std::uint32_t slot) {
@@ -126,7 +115,7 @@ void StorageDrive::start(std::uint32_t slot) {
   SimTime interval = service_interval_;
   auto transfer = static_cast<SimTime>(
       static_cast<double>(p.bytes) * ps_per_byte_drive_link_ + 0.5);
-  if (state_dependent_) {
+  if (params_.thermal.enabled) {
     const double stretch = service_stretch(submit_time, p.bytes);
     if (stretch != 1.0) {
       interval = static_cast<SimTime>(
@@ -173,35 +162,20 @@ void StorageDrive::on_event(void* self, std::uint16_t opcode, std::uint32_t a,
       SimTime interval = static_cast<SimTime>(
           static_cast<double>(util::kPsPerSec) / drive->params_.write_iops +
           0.5);
-      SimTime program = drive->params_.program_latency;
-      if (drive->state_dependent_) {
-        const std::uint32_t bytes = drive->pool_[slot].bytes;
-        const double stretch =
-            drive->service_stretch(drive->sim_.now(), bytes);
+      if (drive->params_.thermal.enabled) {
+        const double stretch = drive->service_stretch(
+            drive->sim_.now(), drive->pool_[slot].bytes);
         if (stretch != 1.0) {
           interval = static_cast<SimTime>(
               static_cast<double>(interval) * stretch + 0.5);
-        }
-        if (drive->params_.endurance.enabled) {
-          // Factor first, then charge: the first write of a fresh device
-          // programs at the rated latency.
-          program = static_cast<SimTime>(
-              static_cast<double>(program) *
-                  drive->wear_.latency_factor(drive->params_.endurance) +
-              0.5);
-          drive->wear_.charge(drive->params_.endurance, bytes);
-          drive->stats_.wear_units = drive->wear_.wear_units();
-          if (drive->state_trace_.bound()) {
-            drive->state_trace_.on_wear(drive->sim_.now(),
-                                        drive->wear_.wear_units());
-          }
         }
       }
       const SimTime service_start =
           std::max(drive->controller_busy_until_,
                    drive->sim_.now() + drive->params_.submission_overhead);
       drive->controller_busy_until_ = service_start + interval;
-      const SimTime programmed = drive->controller_busy_until_ + program;
+      const SimTime programmed =
+          drive->controller_busy_until_ + drive->params_.program_latency;
       drive->sim_.schedule_at(programmed, drive->listener_, kProgrammed,
                               slot);
       break;
@@ -308,7 +282,6 @@ StorageDriveStats StorageArray::aggregate_stats() const {
         std::max(out.peak_outstanding, d->stats().peak_outstanding);
     out.throttled_requests += d->stats().throttled_requests;
     out.peak_heat = std::max(out.peak_heat, d->stats().peak_heat);
-    out.wear_units += d->stats().wear_units;
   }
   return out;
 }

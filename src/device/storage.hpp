@@ -50,12 +50,10 @@ struct StorageDriveParams {
   double write_iops = 0.3e6;
   SimTime program_latency = util::ps_from_us(75.0);
 
-  /// State-dependent service (CXLSSDEval-shaped; see state_model.hpp).
-  /// All default OFF: the defaults keep the drive time-invariant and the
+  /// Thermal throttling (CXLSSDEval-shaped; see state_model.hpp).
+  /// Default OFF: the default keeps the drive time-invariant and the
   /// service-time arithmetic bit-identical to the baseline.
   ThermalParams thermal;
-  EnduranceParams endurance;
-  QdCurveParams qd_curve;
 };
 
 struct StorageDriveStats {
@@ -64,10 +62,9 @@ struct StorageDriveStats {
   std::uint64_t written_bytes = 0;  // write-path share of `bytes`
   util::OnlineStats service_latency_us;  // submit -> data handed to link
   std::uint64_t peak_outstanding = 0;
-  /// State-model observations (zero while every model is off).
+  /// Thermal-model observations (zero while the model is off).
   std::uint64_t throttled_requests = 0;
   double peak_heat = 0.0;
-  double wear_units = 0.0;
 };
 
 /// A single drive. Data is delivered through the shared GPU link.
@@ -87,10 +84,9 @@ class StorageDrive {
   const StorageDriveStats& stats() const noexcept { return stats_; }
   std::uint32_t outstanding() const noexcept { return outstanding_; }
 
-  /// State-model observables (fixed at 0 / false while the models are off).
+  /// Thermal-model observables (fixed at 0 / false while the model is off).
   double heat() const noexcept { return thermal_.heat(); }
   bool throttled() const noexcept { return thermal_.throttled(); }
-  double wear_units() const noexcept { return wear_.wear_units(); }
 
   /// Passive telemetry tap for state-model transitions (nullptr detaches).
   /// `thread` names this drive's trace track under the "device" process.
@@ -134,11 +130,9 @@ class StorageDrive {
   util::SlotPool<Pending> pool_;
   std::deque<std::uint32_t> waiting_;
   StorageDriveStats stats_;
-  /// True iff any state model is enabled; the service-time derating code
-  /// is skipped entirely otherwise so the default path stays bit-identical.
-  bool state_dependent_ = false;
+  /// Charged only while params_.thermal.enabled; the derating code is
+  /// skipped entirely otherwise so the default path stays bit-identical.
   ThermalState thermal_;
-  WearState wear_;
   obs::StateModelTrace state_trace_;
 };
 

@@ -575,21 +575,10 @@ struct FleetSim {
     record_depth();
   }
 
-  /// Discards query i's completed supersteps (crash recovery): any
-  /// followers riding its replay re-enter individually, its accumulated
-  /// stack time and bytes move to the lost-work ledger, and the replay
-  /// restarts from superstep 0.
+  /// Discards query i's completed supersteps (crash recovery): its
+  /// accumulated stack time and bytes move to the lost-work ledger, and
+  /// the replay restarts from superstep 0.
   void lose_progress(std::size_t i) {
-    if (shared.config.batch_identical && !shared.followers.empty()) {
-      for (const std::size_t f : shared.followers[i]) {
-        QueryRecord& fr = shared.records[f];
-        fr.batch_follower = false;
-        fr.lost_ps += fr.ride_ps;
-        fr.ride_ps = 0;
-        reroute(f);
-      }
-      shared.followers[i].clear();
-    }
     QueryRecord& r = shared.records[i];
     r.lost_ps += r.service_ps;
     r.lost_bytes += r.service_bytes;
@@ -823,7 +812,6 @@ struct FleetSim {
     serve.completed = shared.completed;
     serve.shed = shared.shed;
     serve.failed = shared.failed;
-    serve.batched = shared.batched;
     serve.makespan_sec = util::sec_from_ps(shared.last_completion);
 
     util::SimTime busy_ps = 0;
@@ -1085,20 +1073,19 @@ const std::vector<RouterKind>& all_routers() {
   return routers;
 }
 
-FleetServer::FleetServer(core::SystemConfig config, unsigned jobs,
-                         std::size_t profile_cache_capacity)
-    : profiler_(std::move(config), jobs, profile_cache_capacity) {}
+FleetServer::FleetServer(core::SystemConfig config, unsigned jobs)
+    : profiler_(std::move(config), jobs) {}
 
 FleetReport FleetServer::serve(const graph::CsrGraph& graph,
                                const FleetRequest& request) {
   request.fleet.validate(resolve_mix(request.workload).size());
   return simulate_fleet(
-      profiler_, request,
+      profiler_.config(), request,
       profiler_.profile_workload(graph, request.base, request.workload),
       telemetry_);
 }
 
-FleetReport simulate_fleet(const QueryServer& profiler,
+FleetReport simulate_fleet(const core::SystemConfig& config,
                            const FleetRequest& request,
                            ProfiledWorkload workload,
                            obs::Telemetry* telemetry) {
@@ -1125,14 +1112,14 @@ FleetReport simulate_fleet(const QueryServer& profiler,
   }
 
   const device::ThermalParams& thermal =
-      profiler.stack_thermal(request.base.backend);
+      core::stack_thermal(config, request.base.backend);
   device::validate(thermal);
 
   SimShared shared(request.fleet.serve, spec, workload.queries,
                    workload.profiles, serve.queries, thermal);
   FleetSim sim(request.fleet, shared, resolve_mix(spec).size());
   sim.copy_mbps =
-      device::pcie_x16(profiler.config().gpu_link_gen).bandwidth_mbps;
+      device::pcie_x16(config.gpu_link_gen).bandwidth_mbps;
   shared.total_depth = [&sim]() { return sim.total_depth(); };
   shared.deliver = [&sim](std::size_t i) { sim.arrive(i); };
   shared.on_complete = [&sim](std::size_t i) { sim.on_complete(i); };

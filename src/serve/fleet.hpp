@@ -101,7 +101,7 @@ struct FleetConfig {
   /// Random-router stream seed (routing only — records never depend on
   /// the draws beyond which replica served).
   std::uint64_t router_seed = 0x5eedf1ee7ULL;
-  /// Per-replica scheduling: policy, quantum, waiting cap, batching.
+  /// Per-replica scheduling: policy, quantum, waiting cap.
   ServeConfig serve;
   std::vector<TenantQuota> quotas;
   /// Drop arrivals that cannot meet their SLO even on the least-backlog
@@ -136,7 +136,7 @@ struct FleetRequest {
 
 struct ReplicaStats {
   std::uint32_t replica = 0;
-  std::uint32_t served = 0;  ///< completions here (followers included)
+  std::uint32_t served = 0;  ///< completions here
   std::uint32_t quanta = 0;
   double busy_sec = 0.0;
   std::uint64_t link_bytes = 0;
@@ -224,10 +224,9 @@ struct FleetReport {
 
 class FleetServer {
  public:
-  /// `jobs` and `profile_cache_capacity` follow QueryServer semantics
-  /// (they configure the embedded profiling server).
-  explicit FleetServer(core::SystemConfig config, unsigned jobs = 0,
-                       std::size_t profile_cache_capacity = 0);
+  /// `jobs` follows QueryServer semantics (it configures the embedded
+  /// profiling server).
+  explicit FleetServer(core::SystemConfig config, unsigned jobs = 0);
 
   /// Runs the workload over the fleet. Deterministic in (graph, request);
   /// throws std::invalid_argument for malformed fleet configs (zero
@@ -245,9 +244,6 @@ class FleetServer {
 
   const core::SystemConfig& config() const noexcept {
     return profiler_.config();
-  }
-  std::size_t profile_cache_size() const noexcept {
-    return profiler_.profile_cache_size();
   }
 
  private:

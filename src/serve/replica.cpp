@@ -14,8 +14,7 @@ SimShared::SimShared(const ServeConfig& config_in,
                      const device::ThermalParams& thermal_in)
     : config(config_in), spec(spec_in), queries(queries_in),
       profiles(profiles_in), records(records_in), thermal(thermal_in),
-      next_step(queries_in.size(), 0),
-      followers(config_in.batch_identical ? queries_in.size() : 0) {
+      next_step(queries_in.size(), 0) {
   remaining_after.resize(profiles.size());
   for (std::size_t p = 0; p < profiles.size(); ++p) {
     const std::vector<util::SimTime>& steps = profiles[p].step_ps;
@@ -138,12 +137,10 @@ void SimShared::note_failed(std::size_t i) {
 void SimShared::complete_query(std::size_t i) {
   QueryRecord& r = records[i];
   r.completion = sim.now();
-  // Sojourn splits exactly into queue + service + ride: a batch follower
-  // holds the stack for no time of its own, but the quanta it spent
-  // riding its leader's replay are ride, not queue. Stack time a crash
-  // discarded is its own component (lost_ps); retry backoff waits land
-  // in queue with the rest of the non-service time.
-  r.queue_ps = r.completion - r.arrival - r.service_ps - r.ride_ps - r.lost_ps;
+  // Sojourn splits exactly into queue + service + lost: stack time a
+  // crash discarded is its own component (lost_ps); retry backoff waits
+  // land in queue with the rest of the non-service time.
+  r.queue_ps = r.completion - r.arrival - r.service_ps - r.lost_ps;
   r.slo_violated = r.completion - r.arrival > r.slo;
   last_completion = std::max(last_completion, r.completion);
   completion_order_latency_us.push_back(
@@ -354,31 +351,6 @@ void ReplicaSim::dispatch() {
     r.first_service = shared.sim.now();
     if (shared.telemetry != nullptr) shared.note_queued(i);
   }
-  if (shared.config.batch_identical) {
-    // Identical waiting queries (same profile => same class shape and
-    // source) ride this replay: one execution answers them all. They
-    // leave the ready queue and complete with the batch. Only queries
-    // that have not started can ride — a preempted leader sitting in
-    // the ready queue (next_step > 0) has consumed stack time and may
-    // carry followers of its own; absorbing it would orphan them and
-    // double-count its spent quanta.
-    for (auto it = ready.begin(); it != ready.end();) {
-      if (shared.next_step[*it] == 0 &&
-          shared.records[*it].profile_index == r.profile_index &&
-          !shared.records[*it].batch_follower) {
-        shared.records[*it].batch_follower = true;
-        if (shared.records[*it].first_service == 0) {
-          shared.records[*it].first_service = shared.sim.now();
-          if (shared.telemetry != nullptr) shared.note_queued(*it);
-        }
-        backlog_ps -= shared.remaining_ps(*it);
-        shared.followers[i].push_back(*it);
-        it = ready.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
   const std::size_t remaining = p.step_ps.size() - shared.next_step[i];
   const std::size_t quantum =
       shared.config.policy == SchedulingPolicy::kFifo
@@ -424,13 +396,6 @@ void ReplicaSim::dispatch() {
   shared.next_step[i] += quantum;
   r.service_ps += duration;
   r.service_bytes += bytes;
-  if (shared.config.batch_identical) {
-    // Followers ride every quantum of their leader's replay (stretched
-    // duration included): that time is ride, not queue.
-    for (const std::size_t f : shared.followers[i]) {
-      shared.records[f].ride_ps += duration;
-    }
-  }
   busy_ps += duration;
   link_bytes += bytes;
   ++quanta;
@@ -459,17 +424,6 @@ void ReplicaSim::quantum_done() {
     }
     ++served;
     shared.complete_query(i);
-    if (shared.config.batch_identical) {
-      // Followers completed by the shared replay: no stack time of
-      // their own (service_ps stays 0), bytes fetched once by the
-      // leader's quanta.
-      for (const std::size_t f : shared.followers[i]) {
-        ++served;
-        shared.complete_query(f);
-        ++shared.batched;
-      }
-      shared.followers[i].clear();
-    }
   } else if (redirect_query_ == i) {
     // Live migration: the in-flight tenant query yields here and resumes
     // on the target (next_step preserved) instead of requeueing locally.
@@ -494,7 +448,7 @@ void summarize_serve(ServeReport& report, const SimShared& shared,
   std::vector<double> latency_us, queue_us, service_us;
   latency_us.reserve(report.completed);
   std::uint32_t met_slo = 0;
-  util::SimTime queue_total = 0, service_total = 0, ride_total = 0;
+  util::SimTime queue_total = 0, service_total = 0;
   util::SimTime lost_total = 0;
   for (const QueryRecord& r : shared.records) {
     // The crash-recovery ledger sums over every record: failed (and any
@@ -508,13 +462,8 @@ void summarize_serve(ServeReport& report, const SimShared& shared,
     service_us.push_back(util::us_from_ps(r.service_ps));
     queue_total += r.queue_ps;
     service_total += r.service_ps;
-    ride_total += r.ride_ps;
     if (!r.slo_violated) ++met_slo;
-    // A batch follower's bytes were fetched once, by its leader's replay.
-    if (!r.batch_follower) {
-      report.query_bytes +=
-          shared.profiles[r.profile_index].report.fetched_bytes;
-    }
+    report.query_bytes += shared.profiles[r.profile_index].report.fetched_bytes;
   }
   report.lost_work_sec = util::sec_from_ps(lost_total);
   report.latency_us = util::summarize_percentiles(std::move(latency_us));
@@ -538,7 +487,6 @@ void summarize_serve(ServeReport& report, const SimShared& shared,
        rel_error(report.latency_us.p99, report.streaming_p99_us)});
   report.time_in_queue_sec = util::sec_from_ps(queue_total);
   report.time_in_service_sec = util::sec_from_ps(service_total);
-  report.time_riding_sec = util::sec_from_ps(ride_total);
   if (report.makespan_sec > 0.0) {
     report.completed_qps =
         static_cast<double>(report.completed) / report.makespan_sec;

@@ -7,9 +7,9 @@
 ///
 ///   `SimShared` — per *workload* state: the simulator, the query stream
 ///   and its profiles, per-query replay progress (`next_step` lives here
-///   so a live-migrated query resumes on the target mid-serve), batching
-///   follower lists, completion accounting, closed-loop client chains,
-///   and query-lifecycle telemetry (admit/shed/complete instants, the
+///   so a live-migrated query resumes on the target mid-serve),
+///   completion accounting, closed-loop client chains, and
+///   query-lifecycle telemetry (admit/shed/complete instants, the
 ///   aggregate queue-depth channel).
 ///
 ///   `ReplicaSim` — per *stack* state: the ready queue, the in-service
@@ -56,8 +56,6 @@ struct SimShared {
   /// Per-query replay progress. Migration moves the query, not the
   /// counter — a partially-served query resumes exactly where it left.
   std::vector<std::size_t> next_step;
-  /// batch_identical: queries riding the active replay, per leader.
-  std::vector<std::vector<std::size_t>> followers;
   /// Per-profile suffix sums: remaining_after[p][k] = sum of step_ps[k..].
   /// O(1) remaining-demand estimates for routing / SLO shedding.
   std::vector<std::vector<util::SimTime>> remaining_after;
@@ -67,7 +65,6 @@ struct SimShared {
   std::uint32_t admitted = 0;
   std::uint32_t completed = 0;
   std::uint32_t shed = 0;
-  std::uint32_t batched = 0;
   /// Queries whose crash-retry budget ran out (active fault plan only).
   std::uint32_t failed = 0;
 
@@ -139,7 +136,7 @@ struct SimShared {
   void note_admission(std::size_t i, bool was_shed);
   void note_completion(std::size_t i);
   /// Queue-wait span [arrival, first_service] on the lifecycle track;
-  /// fired when query i first reaches a stack (leader or batch rider).
+  /// fired when query i first reaches a stack.
   void note_queued(std::size_t i);
   void sample_depth();
 
@@ -150,7 +147,7 @@ struct SimShared {
   /// telemetry flow end, closed-loop reissue, and the on_failed hook.
   void fail_query(std::size_t i);
   void note_failed(std::size_t i);
-  /// Finalizes query i's record (completion, queue/ride split, SLO),
+  /// Finalizes query i's record (completion, queue/service split, SLO),
   /// feeds the streaming estimators, reissues the closed-loop client,
   /// and fires on_complete.
   void complete_query(std::size_t i);
@@ -163,8 +160,8 @@ struct SimShared {
 };
 
 /// One stack's slice of the queueing simulation. All scheduling-policy
-/// decisions (quantum size, SLO priority, batching absorption) happen
-/// here, against this replica's ready queue only.
+/// decisions (quantum size, SLO priority) happen here, against this
+/// replica's ready queue only.
 struct ReplicaSim {
   SimShared& shared;
   std::uint32_t index = 0;
@@ -174,7 +171,7 @@ struct ReplicaSim {
   util::SimTime busy_ps = 0;
   std::uint64_t link_bytes = 0;
   std::uint32_t quanta = 0;
-  std::uint32_t served = 0;  ///< completions on this replica (+followers)
+  std::uint32_t served = 0;  ///< completions on this replica
   std::uint32_t throttled_quanta = 0;
   /// Crashed (fault layer): a dead replica accepts no placements and
   /// dispatches nothing until the fleet revives it.
@@ -259,7 +256,7 @@ struct ReplicaSim {
 };
 
 /// Shared report aggregation over the finished simulation: exact + P²
-/// percentiles, queue/service/ride time split, query-byte conservation
+/// percentiles, queue/service time split, query-byte conservation
 /// side, goodput and SLO accounting. `busy_ps` is the summed stack busy
 /// time and `capacity_sec` the utilization denominator (the summed
 /// replica lifetimes; one replica's is the makespan). Expects
@@ -269,13 +266,13 @@ void summarize_serve(ServeReport& report, const SimShared& shared,
                      util::SimTime busy_ps, double capacity_sec);
 
 /// The queueing simulation behind every serve: record init, the stack's
-/// thermal model (resolved by backend through `profiler`), one
-/// SimShared + FleetSim over request.fleet, the optional telemetry
-/// observer, the run, and the report. Expects `workload` profiled by
-/// `profiler` for `request` and request.fleet already validated.
-/// QueryServer::serve passes a one-replica fleet and returns .serve.
-/// Defined in fleet.cpp, next to FleetSim.
-FleetReport simulate_fleet(const QueryServer& profiler,
+/// thermal model (core::stack_thermal of `config` for the request's
+/// backend), one SimShared + FleetSim over request.fleet, the optional
+/// telemetry observer, the run, and the report. Expects `workload`
+/// profiled under `config` for `request` and request.fleet already
+/// validated. QueryServer::serve passes a one-replica fleet and returns
+/// .serve. Defined in fleet.cpp, next to FleetSim.
+FleetReport simulate_fleet(const core::SystemConfig& config,
                            const FleetRequest& request,
                            ProfiledWorkload workload,
                            obs::Telemetry* telemetry);

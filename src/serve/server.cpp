@@ -63,54 +63,12 @@ std::vector<SoakWindow> soak_windows(const ServeReport& report,
   return out;
 }
 
-QueryServer::QueryServer(core::SystemConfig config, unsigned jobs,
-                         std::size_t profile_cache_capacity)
-    : config_(std::move(config)),
-      jobs_(jobs),
-      runner_(config_, jobs),
-      profile_cache_capacity_(profile_cache_capacity) {}
-
-bool QueryServer::cache_has(const ProfileKey& key) {
-  return profile_cache_.count(key) != 0;
-}
-
-const QueryProfile& QueryServer::cache_at(const ProfileKey& key) {
-  CacheEntry& entry = profile_cache_.at(key);
-  entry.last_use = ++cache_clock_;
-  return entry.profile;
-}
+QueryServer::QueryServer(core::SystemConfig config, unsigned jobs)
+    : config_(std::move(config)), jobs_(jobs), runner_(config_, jobs) {}
 
 void QueryServer::cache_put(const ProfileKey& key, QueryProfile profile) {
   ++profiles_computed_;
-  profile_cache_.insert_or_assign(
-      key, CacheEntry{std::move(profile), ++cache_clock_});
-}
-
-void QueryServer::cache_evict_to_capacity() {
-  if (profile_cache_capacity_ == 0) return;
-  while (profile_cache_.size() > profile_cache_capacity_) {
-    auto victim = profile_cache_.begin();
-    for (auto it = std::next(victim); it != profile_cache_.end(); ++it) {
-      if (it->second.last_use < victim->second.last_use) victim = it;
-    }
-    profile_cache_.erase(victim);
-  }
-}
-
-const device::ThermalParams& QueryServer::stack_thermal(
-    core::BackendKind backend) const noexcept {
-  static const device::ThermalParams kNoThermal{};
-  switch (backend) {
-    case core::BackendKind::kCxl:
-    case core::BackendKind::kTieredDramCxl:
-      return config_.cxl.thermal;
-    case core::BackendKind::kXlfdd:
-    case core::BackendKind::kBamNvme:
-    case core::BackendKind::kUvm:
-      return config_.storage_thermal;
-    default:
-      return kNoThermal;
-  }
+  profile_cache_.insert_or_assign(key, std::move(profile));
 }
 
 ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
@@ -153,8 +111,9 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
   std::vector<PendingKey> keys;
   out.query_profile.resize(out.queries.size());
   for (std::size_t i = 0; i < out.queries.size(); ++i) {
-    const graph::VertexId source = base.source.value_or(
-        algo::pick_source(graph, out.queries[i].source_seed));
+    const graph::VertexId source =
+        base.source ? *base.source
+                    : algo::pick_source(graph, out.queries[i].source_seed);
     const ProfileKey key = key_for(out.queries[i].class_index, source);
     const auto [it, inserted] = slot_of.try_emplace(key, keys.size());
     if (inserted) {
@@ -169,7 +128,7 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
   std::vector<std::size_t> task_slot;
   for (std::size_t k = 0; k < keys.size(); ++k) {
     const QueryClass& cls = mix[keys[k].class_index];
-    if (cls.shards != 1 || cache_has(keys[k].key)) {
+    if (cls.shards != 1 || profile_cache_.contains(keys[k].key)) {
       continue;
     }
     task_slot.push_back(k);
@@ -198,7 +157,7 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
   core::ClusterRuntime cluster(config_, jobs_);
   for (std::size_t k = 0; k < keys.size(); ++k) {
     const QueryClass& cls = mix[keys[k].class_index];
-    if (cls.shards == 1 || cache_has(keys[k].key)) {
+    if (cls.shards == 1 || profile_cache_.contains(keys[k].key)) {
       continue;
     }
     core::ClusterRequest creq;
@@ -236,14 +195,11 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
 
   out.profiles.reserve(keys.size());
   for (const PendingKey& pending : keys) {
-    out.profiles.push_back(cache_at(pending.key));
+    out.profiles.push_back(profile_cache_.at(pending.key));
     // The cached copy carries the class index of whichever serve created
     // it; rebind to this workload's mix (the key ignores slo/weight).
     out.profiles.back().class_index = pending.class_index;
   }
-  // This serve holds copies of everything it needs; trim the cache for
-  // the next one.
-  cache_evict_to_capacity();
   for (QueryProfile& p : out.profiles) {
     p.service_ps = 0;
     p.service_bytes = 0;
@@ -260,7 +216,7 @@ ServeReport QueryServer::serve(const graph::CsrGraph& graph,
   solo.workload = request.workload;
   solo.fleet.serve = request.config;
   return simulate_fleet(
-             *this, solo,
+             config_, solo,
              profile_workload(graph, request.base, request.workload),
              telemetry_)
       .serve;

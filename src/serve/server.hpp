@@ -18,7 +18,7 @@
 ///  2. A discrete-event queueing simulation (sim::Simulator) then
 ///     interleaves the admitted queries' supersteps onto the shared stack
 ///     under a scheduling policy: FIFO run-to-completion, round-robin
-///     batching (a quantum of supersteps per turn), or SLO-aware priority
+///     (a quantum of supersteps per turn), or SLO-aware priority
 ///     (earliest deadline first, preemptible between quanta). An
 ///     admission controller sheds arrivals past the waiting-queue
 ///     capacity.
@@ -73,14 +73,6 @@ struct ServeConfig {
   /// Supersteps served per scheduling turn under the preemptive policies
   /// (round-robin, SLO priority). FIFO ignores it.
   std::uint32_t quantum_supersteps = 4;
-  /// Batch identical queries into one replay: when the stack picks up a
-  /// query, every *waiting* query with the same (class shape, source) —
-  /// i.e. the same profile — rides along, and the whole batch completes
-  /// when the single shared replay does. Real serving traffic is full of
-  /// repeated queries (trending sources), so one execution can answer
-  /// many of them; followers consume no stack time and no link bytes.
-  /// Off by default: the unbatched schedule is the per-query baseline.
-  bool batch_identical = false;
 };
 
 struct ServeRequest {
@@ -119,11 +111,7 @@ struct QueryRecord {
   util::SimTime first_service = 0;
   util::SimTime completion = 0;
   util::SimTime service_ps = 0;  // time actually holding the shared stack
-  /// Time spent riding a batch leader's replay (batch_identical only):
-  /// the follower holds no stack time of its own, but quanta served on
-  /// its behalf are not queueing either.
-  util::SimTime ride_ps = 0;
-  util::SimTime queue_ps = 0;  // completion - arrival - service_ps - ride_ps
+  util::SimTime queue_ps = 0;  // completion - arrival - service_ps - lost_ps
   std::uint64_t service_bytes = 0;
   util::SimTime slo = 0;
   /// Replica that served (or is serving) this query. 0 for the
@@ -132,10 +120,6 @@ struct QueryRecord {
   std::uint32_t replica = 0;
   bool shed = false;
   bool slo_violated = false;
-  /// True when this query rode another query's replay (batch_identical):
-  /// it completed with the batch but held the stack for no time of its
-  /// own, and its bytes were fetched once, by the batch leader.
-  bool batch_follower = false;
   /// Crash recovery (active fault plan only). `retries` counts how many
   /// times this query re-entered the queue after its replica crashed
   /// mid-flight; lost_ps / lost_bytes hold the discarded progress of
@@ -162,8 +146,6 @@ struct ServeReport {
   /// admitted queries whose crash-retry budget ran out. The terminal
   /// dispositions partition: completed + shed + failed == offered.
   std::uint32_t failed = 0;
-  /// Completions that were batch followers (batch_identical only).
-  std::uint32_t batched = 0;
 
   /// Simulated time from t=0 to the last completion.
   double makespan_sec = 0.0;
@@ -187,11 +169,10 @@ struct ServeReport {
   /// number a dashboard trusting the streaming estimators should watch.
   double p2_max_rel_error = 0.0;
 
-  /// Time-in-queue vs time-in-service vs time-riding-a-batch totals over
-  /// completed queries; the three sum to total sojourn exactly.
+  /// Time-in-queue vs time-in-service totals over completed queries;
+  /// with their lost_ps they sum to total sojourn exactly.
   double time_in_queue_sec = 0.0;
   double time_in_service_sec = 0.0;
-  double time_riding_sec = 0.0;
   /// Shared-stack busy time / makespan.
   double utilization = 0.0;
 
@@ -255,11 +236,8 @@ class QueryServer {
  public:
   /// `jobs` bounds the profiling fan-out (ExperimentRunner semantics:
   /// 0 = hardware concurrency, 1 = serial; results identical either way).
-  /// `profile_cache_capacity` bounds the cross-serve profile cache to that
-  /// many entries, evicted least-recently-used (0 = unbounded). Eviction
-  /// only costs re-profiling on a later serve — results are unaffected.
-  explicit QueryServer(core::SystemConfig config, unsigned jobs = 0,
-                       std::size_t profile_cache_capacity = 0);
+  /// Profiles are cached across serves until the graph changes.
+  explicit QueryServer(core::SystemConfig config, unsigned jobs = 0);
 
   /// Runs the workload to completion. Deterministic in (graph, request).
   ServeReport serve(const graph::CsrGraph& graph,
@@ -272,12 +250,6 @@ class QueryServer {
   ProfiledWorkload profile_workload(const graph::CsrGraph& graph,
                                     const core::RunRequest& base,
                                     const WorkloadSpec& workload);
-
-  /// The shared stack's thermal model, resolved by backend: CXL-backed
-  /// stacks heat the CXL channel, storage-backed stacks the drives; host
-  /// DRAM has no throttle model (a disabled default keeps it cold).
-  const device::ThermalParams& stack_thermal(
-      core::BackendKind backend) const noexcept;
 
   const core::SystemConfig& config() const noexcept { return config_; }
 
@@ -294,12 +266,8 @@ class QueryServer {
     telemetry_ = telemetry;
   }
 
-  std::size_t profile_cache_size() const noexcept {
-    return profile_cache_.size();
-  }
-  /// Idle-stack profile runs performed over this server's lifetime; a
-  /// capacity-bounded cache re-profiles evicted shapes, an unbounded one
-  /// profiles each distinct shape once per graph.
+  /// Idle-stack profile runs performed over this server's lifetime: each
+  /// distinct shape is profiled once per graph.
   std::uint64_t profiles_computed() const noexcept {
     return profiles_computed_;
   }
@@ -313,16 +281,7 @@ class QueryServer {
                  int /*algorithm*/, std::uint32_t /*shards*/,
                  int /*strategy*/, graph::VertexId /*source*/>;
 
-  struct CacheEntry {
-    QueryProfile profile;
-    /// LRU stamp: the serve-scoped access clock at last touch.
-    std::uint64_t last_use = 0;
-  };
-
-  bool cache_has(const ProfileKey& key);
-  const QueryProfile& cache_at(const ProfileKey& key);
   void cache_put(const ProfileKey& key, QueryProfile profile);
-  void cache_evict_to_capacity();
 
   core::SystemConfig config_;
   unsigned jobs_;
@@ -332,12 +291,8 @@ class QueryServer {
   /// repeated serves — an offered-load sweep, a policy comparison — reuse
   /// them. Invalidated whenever the graph changes, detected by a cheap
   /// content fingerprint (not the address: a different graph reallocated
-  /// at the same address must not reuse stale profiles). Bounded to
-  /// profile_cache_capacity_ entries with LRU eviction (0 = unbounded) so
-  /// a long-lived multi-tenant server cannot grow without limit.
-  std::map<ProfileKey, CacheEntry> profile_cache_;
-  std::size_t profile_cache_capacity_ = 0;
-  std::uint64_t cache_clock_ = 0;
+  /// at the same address must not reuse stale profiles).
+  std::map<ProfileKey, QueryProfile> profile_cache_;
   std::uint64_t profiles_computed_ = 0;
   std::uint64_t cached_graph_fingerprint_ = 0;
   obs::Telemetry* telemetry_ = nullptr;

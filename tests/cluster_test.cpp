@@ -11,6 +11,7 @@
 
 #include "core/cluster_runtime.hpp"
 #include "core/runtime.hpp"
+#include "graph/builder.hpp"
 #include "graph/generate.hpp"
 
 namespace cxlgraph {
@@ -205,6 +206,19 @@ TEST(ClusterRuntime, RejectsAlgorithmsWithoutSupersteps) {
   creq.run.algorithm = core::Algorithm::kBfsWriteback;
   creq.num_shards = 2;
   EXPECT_THROW(cluster.run(g, creq), std::invalid_argument);
+}
+
+TEST(ClusterRuntime, ExplicitSourceRunsOnGraphWithoutEdges) {
+  // pick_source needs an edge; a request that names its source must not
+  // call it.
+  const graph::CsrGraph g = graph::build_csr_from_pairs(3, {});
+  core::ClusterRuntime cluster(core::table3_system());
+  core::ClusterRequest creq;
+  creq.run.algorithm = core::Algorithm::kPagerankScan;
+  creq.run.source = 1;
+  creq.num_shards = 1;
+  const core::ClusterReport r = cluster.run(g, creq);
+  EXPECT_EQ(r.source, 1u);
 }
 
 // The asymmetric exchange model: pair totals account for every byte

@@ -8,6 +8,7 @@
 #include "core/experiment_runner.hpp"
 #include "core/runtime.hpp"
 #include "core/system_config.hpp"
+#include "graph/builder.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generate.hpp"
 
@@ -125,6 +126,19 @@ TEST(Runtime, ExplicitSourceIsHonored) {
   RunRequest req;
   req.source = 7;
   EXPECT_EQ(rt.run(g, req).source, 7u);
+}
+
+TEST(Runtime, ExplicitSourceRunsOnGraphWithoutEdges) {
+  // pick_source needs an edge; a request that names its source must not
+  // call it.
+  ExternalGraphRuntime rt(table3_system());
+  const graph::CsrGraph g = graph::build_csr_from_pairs(3, {});
+  RunRequest req;
+  req.algorithm = Algorithm::kPagerankScan;
+  req.source = 1;
+  const RunReport r = rt.run(g, req);
+  EXPECT_EQ(r.source, 1u);
+  EXPECT_EQ(r.graph_edges, 0u);
 }
 
 TEST(Runtime, SsspReadsMoreThanBfs) {

@@ -67,7 +67,6 @@ void expect_reports_identical(const serve::ServeReport& a,
     EXPECT_EQ(x.first_service, y.first_service);
     EXPECT_EQ(x.completion, y.completion);
     EXPECT_EQ(x.service_ps, y.service_ps);
-    EXPECT_EQ(x.ride_ps, y.ride_ps);
     EXPECT_EQ(x.queue_ps, y.queue_ps);
     EXPECT_EQ(x.service_bytes, y.service_bytes);
     EXPECT_EQ(x.replica, y.replica);

@@ -146,9 +146,11 @@ TEST(QueryServer, DeterministicAcrossJobsAndRepeatedRuns) {
 
   serve::QueryServer serial(core::table3_system(), /*jobs=*/1);
   const serve::ServeReport first = serial.serve(g, req);
-  // Repeat on the same server: profile cache warm, results identical.
+  // Repeat on the same server: profile cache warm, results identical,
+  // and no shape is profiled twice.
   const serve::ServeReport repeat = serial.serve(g, req);
   expect_records_identical(first, repeat);
+  EXPECT_EQ(serial.profiles_computed(), first.profiles.size());
 
   // Fresh server, parallel profiling: still identical.
   serve::QueryServer parallel(core::table3_system(), /*jobs=*/4);
@@ -208,11 +210,24 @@ TEST(QueryServer, ByteConservationAcrossPoliciesAndLoads) {
   }
 }
 
+/// Every completed record's sojourn splits exactly into queue + service +
+/// lost (stack time a crash discarded).
+void expect_sojourn_splits_exactly(const serve::ServeReport& r,
+                                   const std::string& where) {
+  for (const serve::QueryRecord& rec : r.queries) {
+    if (rec.shed || rec.failed) continue;
+    EXPECT_EQ(rec.queue_ps + rec.service_ps + rec.lost_ps,
+              rec.completion - rec.arrival)
+        << where << ": query " << rec.id;
+  }
+}
+
 // Property: the terminal dispositions partition the stream exactly —
 // every offered query ends completed, shed, or failed, and admitted work
-// ends completed or failed. Checked across policies x loads on the solo
-// path (where failed is structurally zero) and on the fleet path under
-// an active crash-and-I/O fault plan (where all three are live).
+// ends completed or failed — and every completion's sojourn splits
+// exactly into queue + service + lost. Checked across policies x loads on
+// the solo path (where failed is structurally zero) and on the fleet path
+// under an active crash-and-I/O fault plan (where all three are live).
 TEST(QueryServer, TerminalDispositionsPartitionAcrossPoliciesAndLoads) {
   const graph::CsrGraph g = test_graph();
   serve::QueryServer server(core::table3_system());
@@ -226,35 +241,48 @@ TEST(QueryServer, TerminalDispositionsPartitionAcrossPoliciesAndLoads) {
           << serve::to_string(policy) << " at " << qps << " qps";
       EXPECT_EQ(r.completed + r.failed, r.admitted);
       EXPECT_EQ(r.failed, 0u);  // no fault plan on the solo path
+      expect_sojourn_splits_exactly(r, serve::to_string(policy));
     }
   }
 
   serve::FleetServer fleet(core::table3_system());
+  util::SimTime lost_by_completions = 0;
   for (const serve::SchedulingPolicy policy : serve::all_policies()) {
     for (const double qps : {4'000.0, 24'000.0}) {
-      serve::FleetRequest freq;
-      freq.base.backend = core::BackendKind::kCxl;
-      freq.workload = mixed_request(qps, 32).workload;
-      freq.fleet.replicas = 2;
-      freq.fleet.serve.policy = policy;
-      freq.fleet.serve.max_waiting = 4;
-      freq.fleet.faults.seed = 77;
-      freq.fleet.faults.horizon_sec =
-          16.0 / qps;  // first half of the arrival window
-      freq.fleet.faults.crashes = 2;
-      freq.fleet.faults.restart_sec = 0.0;  // permanent: failures likely
-      freq.fleet.faults.max_query_retries = 1;
-      freq.fleet.faults.io_bursts = 1;
-      freq.fleet.faults.io_burst_sec = 4.0 / qps;
-      freq.fleet.faults.io_error_rate = 0.3;
-      const serve::FleetReport fr = fleet.serve(g, freq);
-      const serve::ServeReport& s = fr.serve;
-      EXPECT_EQ(s.completed + s.shed + s.failed, s.offered)
-          << serve::to_string(policy) << " at " << qps << " qps (fleet)";
-      EXPECT_EQ(s.completed + s.failed, s.admitted);
-      EXPECT_TRUE(s.conservation_ok());
+      // Permanent crashes make failures likely; restarting replicas let
+      // aborted queries retry and complete, carrying lost_ps.
+      for (const double restart_arrivals : {0.0, 2.0}) {
+        serve::FleetRequest freq;
+        freq.base.backend = core::BackendKind::kCxl;
+        freq.workload = mixed_request(qps, 32).workload;
+        freq.fleet.replicas = 2;
+        freq.fleet.serve.policy = policy;
+        freq.fleet.serve.max_waiting = 4;
+        freq.fleet.faults.seed = 77;
+        freq.fleet.faults.horizon_sec =
+            16.0 / qps;  // first half of the arrival window
+        freq.fleet.faults.crashes = 2;
+        freq.fleet.faults.restart_sec = restart_arrivals / qps;
+        freq.fleet.faults.max_query_retries = 1;
+        freq.fleet.faults.io_bursts = 1;
+        freq.fleet.faults.io_burst_sec = 4.0 / qps;
+        freq.fleet.faults.io_error_rate = 0.3;
+        const serve::FleetReport fr = fleet.serve(g, freq);
+        const serve::ServeReport& s = fr.serve;
+        const std::string where = serve::to_string(policy) + " at " +
+                                  std::to_string(qps) + " qps (fleet)";
+        EXPECT_EQ(s.completed + s.shed + s.failed, s.offered) << where;
+        EXPECT_EQ(s.completed + s.failed, s.admitted) << where;
+        EXPECT_TRUE(s.conservation_ok()) << where;
+        expect_sojourn_splits_exactly(s, where);
+        for (const serve::QueryRecord& rec : s.queries) {
+          if (!rec.shed && !rec.failed) lost_by_completions += rec.lost_ps;
+        }
+      }
     }
   }
+  // Some completion carried discarded work, so the lost term is exercised.
+  EXPECT_GT(lost_by_completions, 0u);
 }
 
 TEST(QueryServer, AdmissionControllerShedsPastQueueCap) {
@@ -357,131 +385,6 @@ TEST(QueryServer, ShardSpanningQueriesRouteThroughCluster) {
   }
 }
 
-// ------------------------------------------- batching identical queries ----
-
-/// A saturating stream of *identical* queries (one class, one source).
-serve::ServeRequest identical_request(double offered_qps,
-                                      std::uint32_t num_queries) {
-  serve::ServeRequest req;
-  req.base.backend = core::BackendKind::kCxl;
-  req.workload.seed = kSeed;
-  req.workload.offered_qps = offered_qps;
-  req.workload.num_queries = num_queries;
-  req.workload.source_pool = 1;  // every query hits the same profile
-  serve::QueryClass bfs;
-  bfs.algorithm = core::Algorithm::kBfs;
-  bfs.slo = util::ps_from_us(5'000.0);
-  req.workload.mix = {bfs};
-  return req;
-}
-
-TEST(QueryServer, BatchingIdenticalQueriesImprovesMakespan) {
-  const graph::CsrGraph g = test_graph();
-  serve::QueryServer server(core::table3_system());
-  serve::ServeRequest req = identical_request(1.0e6, 24);
-
-  const serve::ServeReport solo = server.serve(g, req);
-  req.config.batch_identical = true;
-  const serve::ServeReport batched = server.serve(g, req);
-
-  EXPECT_EQ(batched.completed, solo.completed);
-  EXPECT_GT(batched.batched, 0u);
-  EXPECT_EQ(solo.batched, 0u);
-  // One replay answers a whole backlog of identical queries.
-  EXPECT_LT(batched.makespan_sec, solo.makespan_sec);
-  EXPECT_LT(batched.latency_us.p99, solo.latency_us.p99);
-  // Followers hold the stack for no time of their own and their bytes are
-  // fetched once — conservation must still balance.
-  EXPECT_TRUE(batched.conservation_ok());
-  EXPECT_LT(batched.link_bytes, solo.link_bytes);
-}
-
-TEST(QueryServer, BatchingNeverBatchesDistinctProfiles) {
-  const graph::CsrGraph g = test_graph();
-  serve::QueryServer server(core::table3_system());
-  serve::ServeRequest req = mixed_request(1.0e5, 24);
-  req.config.batch_identical = true;
-  const serve::ServeReport r = server.serve(g, req);
-  EXPECT_TRUE(r.conservation_ok());
-  for (const serve::QueryRecord& rec : r.queries) {
-    if (!rec.batch_follower || rec.shed) continue;
-    // A follower's completion must match some non-follower of the same
-    // profile (its batch leader).
-    bool found_leader = false;
-    for (const serve::QueryRecord& other : r.queries) {
-      if (!other.batch_follower && !other.shed &&
-          other.profile_index == rec.profile_index &&
-          other.completion == rec.completion) {
-        found_leader = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(found_leader) << "follower " << rec.id << " has no leader";
-    EXPECT_EQ(rec.service_ps, 0u);
-    EXPECT_EQ(rec.service_bytes, 0u);
-  }
-}
-
-TEST(QueryServer, BatchingUnderPreemptionCompletesEveryAdmittedQuery) {
-  // Regression: a preempted batch leader re-queued mid-flight must not be
-  // absorbed as another query's follower (that would orphan its own
-  // followers and leave them incomplete forever).
-  const graph::CsrGraph g = test_graph();
-  serve::QueryServer server(core::table3_system());
-  serve::ServeRequest req = identical_request(2.0e5, 32);
-  req.config.batch_identical = true;
-  for (const serve::SchedulingPolicy policy : serve::all_policies()) {
-    req.config.policy = policy;
-    req.config.quantum_supersteps = 1;  // maximal preemption churn
-    const serve::ServeReport r = server.serve(g, req);
-    EXPECT_EQ(r.completed, r.admitted) << serve::to_string(policy);
-    EXPECT_TRUE(r.conservation_ok()) << serve::to_string(policy);
-    for (const serve::QueryRecord& rec : r.queries) {
-      if (!rec.shed) {
-        EXPECT_GT(rec.completion, 0u) << serve::to_string(policy)
-                                      << " query " << rec.id;
-      }
-    }
-  }
-}
-
-TEST(QueryServer, BatchingIsDeterministic) {
-  const graph::CsrGraph g = test_graph();
-  serve::ServeRequest req = identical_request(5.0e5, 32);
-  req.config.batch_identical = true;
-  req.config.policy = serve::SchedulingPolicy::kSloPriority;
-  serve::QueryServer a(core::table3_system());
-  serve::QueryServer b(core::table3_system());
-  expect_records_identical(a.serve(g, req), b.serve(g, req));
-}
-
-// ------------------------------------------------ profile-cache eviction ----
-
-TEST(QueryServer, ProfileCacheEvictionBoundsMemoryNotResults) {
-  const graph::CsrGraph g = test_graph();
-  serve::ServeRequest req = mixed_request(1.0e5, 32);
-  req.workload.source_pool = 6;  // several distinct profiles
-
-  serve::QueryServer unbounded(core::table3_system());
-  serve::QueryServer bounded(core::table3_system(), /*jobs=*/0,
-                             /*profile_cache_capacity=*/2);
-  const serve::ServeReport a = unbounded.serve(g, req);
-  const serve::ServeReport b = bounded.serve(g, req);
-  // Eviction is a memory policy, not a semantic one.
-  expect_records_identical(a, b);
-  EXPECT_GT(unbounded.profile_cache_size(), 2u);
-  EXPECT_LE(bounded.profile_cache_size(), 2u);
-
-  // A repeat serve hits the unbounded cache fully but must re-profile the
-  // evicted shapes on the bounded server — same results either way.
-  const std::uint64_t before = bounded.profiles_computed();
-  const serve::ServeReport a2 = unbounded.serve(g, req);
-  const serve::ServeReport b2 = bounded.serve(g, req);
-  expect_records_identical(a2, b2);
-  EXPECT_EQ(unbounded.profiles_computed(), a.profiles.size());
-  EXPECT_GT(bounded.profiles_computed(), before);
-}
-
 // ------------------------------------------------------- thermal soak ----
 
 TEST(QueryServer, SustainedLoadUnderThrottlingRaisesTailOverTime) {
@@ -582,56 +485,6 @@ TEST(QueryServer, StreamingP2StaysFiniteBelowFiveCompletions) {
     EXPECT_TRUE(std::isfinite(r.streaming_p99_us));
     EXPECT_TRUE(std::isfinite(r.p2_max_rel_error)) << n << " completions";
     EXPECT_GE(r.p2_max_rel_error, 0.0);
-  }
-}
-
-// ------------------------------------------- follower time accounting ----
-
-TEST(QueryServer, FollowerRideTimeSplitsSojournExactly) {
-  // Regression: a batch follower's queue_ps used to absorb its leader's
-  // service time (completion - arrival - 0), overstating queueing. The
-  // quanta a follower spends riding the shared replay are ride time, and
-  // sojourn must split exactly into queue + service + ride.
-  const graph::CsrGraph g = test_graph();
-  serve::QueryServer server(core::table3_system());
-  serve::ServeRequest req = identical_request(1.0e6, 24);
-  req.config.batch_identical = true;
-  const serve::ServeReport r = server.serve(g, req);
-  ASSERT_GT(r.batched, 0u);
-
-  util::SimTime sojourn_total = 0;
-  util::SimTime split_total = 0;
-  for (const serve::QueryRecord& rec : r.queries) {
-    if (rec.shed) continue;
-    const util::SimTime sojourn = rec.completion - rec.arrival;
-    EXPECT_EQ(rec.queue_ps + rec.service_ps + rec.ride_ps, sojourn)
-        << "query " << rec.id;
-    if (rec.batch_follower) {
-      EXPECT_EQ(rec.service_ps, 0u);
-      EXPECT_GT(rec.ride_ps, 0u) << "follower " << rec.id
-                                 << " rode for free";
-      // The fixed invariant: its wait is strictly less than its sojourn.
-      EXPECT_LT(rec.queue_ps, sojourn);
-    } else {
-      EXPECT_EQ(rec.ride_ps, 0u) << "non-follower " << rec.id;
-    }
-    sojourn_total += sojourn;
-    split_total += rec.queue_ps + rec.service_ps + rec.ride_ps;
-  }
-  EXPECT_EQ(split_total, sojourn_total);
-  // The report-level totals carry the same split.
-  const double total_sec = r.time_in_queue_sec + r.time_in_service_sec +
-                           r.time_riding_sec;
-  EXPECT_NEAR(total_sec, util::sec_from_ps(sojourn_total),
-              1e-9 * std::max(1.0, total_sec));
-  EXPECT_GT(r.time_riding_sec, 0.0);
-
-  // Without batching nothing rides.
-  req.config.batch_identical = false;
-  const serve::ServeReport plain = server.serve(g, req);
-  EXPECT_EQ(plain.time_riding_sec, 0.0);
-  for (const serve::QueryRecord& rec : plain.queries) {
-    EXPECT_EQ(rec.ride_ps, 0u);
   }
 }
 
